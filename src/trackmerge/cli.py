@@ -49,8 +49,15 @@ class UsageError(Exception):
     pass
 
 
-def _default_jobs():
-    return int(os.environ.get("TRACKMERGE_JOBS", "1"))
+def _jobs(args) -> int:
+    """--jobs, else TRACKMERGE_JOBS, else 1."""
+    if args.jobs is not None:
+        return args.jobs
+    raw = os.environ.get("TRACKMERGE_JOBS", "1")
+    try:
+        return int(raw)
+    except ValueError:
+        raise UsageError(f"TRACKMERGE_JOBS must be an integer, got {raw!r}") from None
 
 
 def parse_weights(text: str) -> WeightVector:
@@ -144,8 +151,9 @@ def cmd_merge(args):
     weights = _resolve_weights(args)
     active = parse_components(args.components) if args.components else (True,) * 5
     effective_weights(weights, active)  # reject empty/invalid combos up front
-    if args.jobs > 1 and len(args.manifest) > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    jobs = _jobs(args)
+    if jobs > 1 and len(args.manifest) > 1:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
             tasks = [
                 pool.submit(_merge_one, p, weights, active, args.out)
                 for p in args.manifest
@@ -171,6 +179,7 @@ def cmd_eval(args):
 
 
 def cmd_search(args):
+    jobs = _jobs(args)
     videos = []
     for d in args.data:
         m = load_manifest(os.path.join(d, "manifest.json"))
@@ -182,7 +191,7 @@ def cmd_search(args):
         top_k=args.top_k,
         objective=args.objective,
     )
-    save_search_result(random_search(videos, cfg, jobs=args.jobs), args.out)
+    save_search_result(random_search(videos, cfg, jobs=jobs), args.out)
 
 
 def cmd_ensemble(args):
@@ -237,7 +246,7 @@ def build_parser():
     sp.add_argument("--weights-file", default=None, help="search result JSON")
     sp.add_argument("--weights-index", type=int, default=0, help="row of the top-k list")
     sp.add_argument("--components", default=None, help="comma list, e.g. obj,reid,maskprop")
-    sp.add_argument("--jobs", type=int, default=_default_jobs())
+    sp.add_argument("--jobs", type=int, default=None, help="default: $TRACKMERGE_JOBS or 1")
     sp.set_defaults(func=cmd_merge)
 
     sp = sub.add_parser("oracle", help="upper-bound merging against full-video GT")
@@ -264,7 +273,7 @@ def build_parser():
     sp.add_argument("--objective", choices=["jf_mean", "j_mean", "f_mean"], default="jf_mean")
     sp.add_argument("--score-min", type=float, default=0.05)
     sp.add_argument("--nms-iou", type=float, default=0.66)
-    sp.add_argument("--jobs", type=int, default=_default_jobs())
+    sp.add_argument("--jobs", type=int, default=None, help="default: $TRACKMERGE_JOBS or 1")
     sp.set_defaults(func=cmd_search)
 
     sp = sub.add_parser("ensemble", help="pixel-wise majority vote over result trees")

@@ -18,6 +18,8 @@ def majority_vote(results) -> list:
     if not results:
         raise TrackmergeError("majority_vote needs at least one result")
     frame_count = len(results[0])
+    if frame_count == 0:
+        raise TrackmergeError("majority_vote needs at least one frame")
     w, h = results[0][0].width, results[0][0].height
     for r in results:
         if len(r) != frame_count:

@@ -46,8 +46,9 @@ class GroundTruthObject:
     embedding: np.ndarray
 
     def __post_init__(self):
-        if self.object_id <= 0:
-            raise ManifestError(f"object_id must be positive, got {self.object_id}")
+        # label maps store object ids in one byte (see LabelMap)
+        if not 1 <= self.object_id <= 255:
+            raise ManifestError(f"object_id must lie in 1..255, got {self.object_id}")
         emb = np.asarray(self.embedding, dtype=np.float64)
         if emb.ndim != 1 or not np.isfinite(emb).all():
             raise ManifestError("embedding must be a 1D finite vector")

@@ -9,7 +9,9 @@ begins with a zero-length background run.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy import ndimage
@@ -125,7 +127,7 @@ class Mask:
         return BBox(int(xs.min()), int(ys.min()), int(xs.max()) + 1, int(ys.max()) + 1)
 
 
-def _check_same_shape(a: Mask, b: Mask):
+def check_same_shape(a: Mask, b: Mask):
     if a.width != b.width or a.height != b.height:
         raise MaskError(
             f"mask dimension mismatch: {a.width}x{a.height} vs {b.width}x{b.height}"
@@ -134,7 +136,7 @@ def _check_same_shape(a: Mask, b: Mask):
 
 def intersection_area(a: Mask, b: Mask) -> int:
     """Pixel count of a AND b, computed directly on the run lengths."""
-    _check_same_shape(a, b)
+    check_same_shape(a, b)
     ca = np.cumsum(a.runs)
     cb = np.cumsum(b.runs)
     ends = np.union1d(ca, cb)
@@ -153,7 +155,7 @@ def iou(a: Mask, b: Mask, empty_empty: float = 0.0) -> float:
     contexts (an empty selection earns no credit), 1 in evaluation contexts
     (a correctly-empty prediction is perfect).
     """
-    _check_same_shape(a, b)
+    check_same_shape(a, b)
     inter = intersection_area(a, b)
     union = a.area + b.area - inter
     if union == 0:
@@ -161,26 +163,99 @@ def iou(a: Mask, b: Mask, empty_empty: float = 0.0) -> float:
     return inter / union
 
 
-def boundary(m: Mask) -> Mask:
-    """Foreground pixels 4-adjacent to background or to the image border."""
-    d = m.dense()
-    padded = np.pad(d, 1, constant_values=False)
+# ---------------------------------------------------------------------------
+# Boundary and dilation kernel. It works on a Patch: a dense boolean grid
+# placed at (y0, x0) in an image whose pixels outside the patch are all
+# background. Cropping to the foreground's bounding box keeps the cost in
+# proportion to the object, not the frame.
+
+
+class Patch(NamedTuple):
+    y0: int
+    x0: int
+    grid: np.ndarray
+
+    @property
+    def area(self) -> int:
+        return int(np.count_nonzero(self.grid))
+
+
+def patch(grid) -> Patch | None:
+    """Crop a dense (height, width) grid to its foreground's bounding box;
+    None when it has no foreground."""
+    rows = np.flatnonzero(grid.any(axis=1))
+    if rows.size == 0:
+        return None
+    cols = np.flatnonzero(grid.any(axis=0))
+    y0, y1, x0, x1 = int(rows[0]), int(rows[-1]) + 1, int(cols[0]), int(cols[-1]) + 1
+    return Patch(y0, x0, grid[y0:y1, x0:x1])
+
+
+def boundary_patch(grid) -> Patch | None:
+    """Foreground pixels of a dense grid that are 4-adjacent to background or
+    to the image border. The box is padded by one False pixel per side: past
+    the box lies either background or the border, which both count as
+    outside."""
+    p = patch(grid)
+    if p is None:
+        return None
+    padded = np.pad(p.grid, 1, constant_values=False)
     interior = (
         padded[:-2, 1:-1]
         & padded[2:, 1:-1]
         & padded[1:-1, :-2]
         & padded[1:-1, 2:]
     )
-    return Mask.from_dense(d & ~interior)
+    return Patch(p.y0, p.x0, p.grid & ~interior)
+
+
+def dilate_patch(p: Patch, radius: float, height: int, width: int) -> Patch:
+    """Dilation by the Euclidean disk dx^2 + dy^2 <= radius^2 in a
+    (height, width) image, computed on the box grown by floor(radius) and
+    clipped to the image. Offsets longer than the image cannot join two of
+    its pixels, so the disk is cut to the image's larger side."""
+    k = math.floor(min(radius, max(height, width) - 1))
+    if k == 0:
+        return p
+    h, w = p.grid.shape
+    y0, x0 = max(p.y0 - k, 0), max(p.x0 - k, 0)
+    y1, x1 = min(p.y0 + h + k, height), min(p.x0 + w + k, width)
+    canvas = np.zeros((y1 - y0, x1 - x0), dtype=bool)
+    canvas[p.y0 - y0 : p.y0 - y0 + h, p.x0 - x0 : p.x0 - x0 + w] = p.grid
+    yy, xx = np.mgrid[-k : k + 1, -k : k + 1]
+    footprint = yy * yy + xx * xx <= radius * radius
+    return Patch(y0, x0, ndimage.binary_dilation(canvas, structure=footprint))
+
+
+def count_inside(points: Patch, zone: Patch) -> int:
+    """Pixels set in both patches, counted on the overlap of their boxes."""
+    y0, x0 = max(points.y0, zone.y0), max(points.x0, zone.x0)
+    y1 = min(points.y0 + points.grid.shape[0], zone.y0 + zone.grid.shape[0])
+    x1 = min(points.x0 + points.grid.shape[1], zone.x0 + zone.grid.shape[1])
+    if y0 >= y1 or x0 >= x1:
+        return 0
+    a = points.grid[y0 - points.y0 : y1 - points.y0, x0 - points.x0 : x1 - points.x0]
+    b = zone.grid[y0 - zone.y0 : y1 - zone.y0, x0 - zone.x0 : x1 - zone.x0]
+    return int(np.count_nonzero(a & b))
+
+
+def _patch_to_mask(p: Patch | None, width: int, height: int) -> Mask:
+    grid = np.zeros((height, width), dtype=bool)
+    if p is not None:
+        grid[p.y0 : p.y0 + p.grid.shape[0], p.x0 : p.x0 + p.grid.shape[1]] = p.grid
+    return Mask.from_dense(grid)
+
+
+def boundary(m: Mask) -> Mask:
+    """Foreground pixels 4-adjacent to background or to the image border."""
+    return _patch_to_mask(boundary_patch(m.dense()), m.width, m.height)
 
 
 def dilate(m: Mask, radius: float) -> Mask:
     """Morphological dilation by a Euclidean disk (dx^2 + dy^2 <= r^2)."""
-    if radius < 0:
+    if not radius >= 0:
         raise MaskError(f"dilation radius must be >= 0, got {radius}")
     if radius == 0 or m.is_empty:
         return m
-    k = int(np.floor(radius))
-    yy, xx = np.mgrid[-k : k + 1, -k : k + 1]
-    footprint = yy * yy + xx * xx <= radius * radius
-    return Mask.from_dense(ndimage.binary_dilation(m.dense(), structure=footprint))
+    p = dilate_patch(patch(m.dense()), radius, m.height, m.width)
+    return _patch_to_mask(p, m.width, m.height)

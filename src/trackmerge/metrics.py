@@ -1,5 +1,25 @@
 """Benchmark scoring: region similarity J, boundary similarity F, and the
-per-sequence mean / recall / decay statistics, per object and aggregated."""
+per-sequence mean / recall / decay statistics, per object and aggregated.
+
+How this F relates to the DAVIS benchmark's (Perazzi et al., CVPR 2016;
+Pont-Tuset et al., arXiv 1704.00675): both take the harmonic mean of
+boundary precision and recall with a tolerance of ceil(0.008 * image
+diagonal) pixels. They differ in the boundary and in the matching:
+
+- the boundary here is the set of foreground pixels 4-adjacent to
+  background or to the image border; DAVIS thins a boundary map of label
+  changes (``seg2bmap``), so it does not count the image border;
+- a boundary pixel here is matched when the other boundary has a pixel
+  inside the Euclidean disk of the tolerance (disk dilation, several pixels
+  may match one); DAVIS 2016 matches boundary pixels one-to-one by bipartite
+  assignment.
+
+Compare F between runs of this package, not with published DAVIS numbers.
+
+J and F are computed on dense boolean grids: J by pixel counts over the
+frame, F by the bounding-box-cropped boundary and dilation kernel in
+``mask``.
+"""
 
 from __future__ import annotations
 
@@ -11,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import TrackmergeError
-from .mask import Mask, boundary, dilate, intersection_area, iou
+from .mask import Mask, boundary_patch, check_same_shape, count_inside, dilate_patch
 
 
 def default_boundary_tolerance(width, height) -> int:
@@ -21,30 +41,44 @@ def default_boundary_tolerance(width, height) -> int:
 
 def j_measure(pred: Mask, gt: Mask) -> float:
     """Region IoU with the evaluation convention empty-empty = 1."""
-    return iou(pred, gt, empty_empty=1.0)
+    check_same_shape(pred, gt)
+    return _region_similarity(pred.dense(), gt.dense())
 
 
 def f_measure(pred: Mask, gt: Mask, tolerance: float) -> float:
     """Boundary F: harmonic mean of boundary precision and recall, where a
     boundary pixel counts as matched if it lies within ``tolerance`` pixels
     of the other mask's boundary (dilated-boundary approximation)."""
-    if tolerance < 0:
+    _check_tolerance(tolerance)
+    check_same_shape(pred, gt)
+    return _boundary_similarity(pred.dense(), gt.dense(), tolerance)
+
+
+def _check_tolerance(tolerance):
+    if not tolerance >= 0:
         raise TrackmergeError(f"tolerance must be >= 0, got {tolerance}")
-    pb = boundary(pred)
-    gb = boundary(gt)
-    if pb.is_empty and gb.is_empty:
+
+
+def _region_similarity(pred, gt) -> float:
+    """J of two same-shape dense boolean grids."""
+    inter = np.count_nonzero(pred & gt)
+    union = np.count_nonzero(pred) + np.count_nonzero(gt) - inter
+    return inter / union if union else 1.0
+
+
+def _boundary_similarity(pred, gt, tolerance) -> float:
+    """F of two same-shape dense boolean grids."""
+    pb, gb = boundary_patch(pred), boundary_patch(gt)
+    if pb is None and gb is None:
         return 1.0
-    if pb.is_empty or gb.is_empty:
+    if pb is None or gb is None:
         return 0.0
-    precision = _fraction_inside(pb, dilate(gb, tolerance))
-    recall = _fraction_inside(gb, dilate(pb, tolerance))
+    h, w = pred.shape
+    precision = count_inside(pb, dilate_patch(gb, tolerance, h, w)) / pb.area
+    recall = count_inside(gb, dilate_patch(pb, tolerance, h, w)) / gb.area
     if precision + recall == 0:
         return 0.0
     return 2 * precision * recall / (precision + recall)
-
-
-def _fraction_inside(points: Mask, zone: Mask) -> float:
-    return intersection_area(points, zone) / points.area
 
 
 def sequence_stats(per_frame_scores):
@@ -104,7 +138,8 @@ def evaluate(pred_label_maps, gt_all_frames, tolerance=None, exclude_last=False)
         raise TrackmergeError("need at least 2 frames to evaluate")
     ids = sorted(gt_all_frames[0])
     for t, lm in enumerate(pred_label_maps):
-        unknown = set(np.unique(lm.labels)) - {0} - set(ids)
+        present = np.flatnonzero(np.bincount(lm.labels.ravel())).tolist()
+        unknown = set(present) - {0} - set(ids)
         if unknown:
             raise TrackmergeError(f"frame {t}: unknown labels {sorted(unknown)}")
     if tolerance is None:
@@ -116,15 +151,17 @@ def evaluate(pred_label_maps, gt_all_frames, tolerance=None, exclude_last=False)
     frames = range(1, stop)
     if not frames:
         raise TrackmergeError("no frames left to evaluate")
+    _check_tolerance(tolerance)
 
     per_object = {}
     for j in ids:
         js, fs = [], []
         for t in frames:
-            pred = pred_label_maps[t].object_mask(j)
-            gt = gt_all_frames[t][j]
-            js.append(j_measure(pred, gt))
-            fs.append(f_measure(pred, gt, tolerance))
+            lm, gt_mask = pred_label_maps[t], gt_all_frames[t][j]
+            check_same_shape(lm, gt_mask)
+            pred, gt = lm.labels == j, gt_mask.dense()
+            js.append(_region_similarity(pred, gt))
+            fs.append(_boundary_similarity(pred, gt, tolerance))
         jm, jr, jd = sequence_stats(js)
         fm, fr, fd = sequence_stats(fs)
         per_object[j] = ObjectResult(jm, jr, jd, fm, fr, fd)

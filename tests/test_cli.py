@@ -156,3 +156,32 @@ class TestPipeline:
             "--weights", "0.9,0.9,0.9,0.9,0.9",
         )
         assert code == 2
+
+    def test_object_id_above_255_is_data_error(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        run("synth", "--out", str(data), "--preset", "single", "--seed", "0")
+        manifest = json.loads((data / "manifest.json").read_text())
+        manifest["ground_truth"][0]["object_id"] = 300
+        bad = data / "bad.json"
+        bad.write_text(json.dumps(manifest))
+        code = run("merge", "--manifest", str(bad), "--out", str(tmp_path / "o"))
+        assert code == 1
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"] == "ManifestError" and "object_id" in err["message"]
+
+    def test_bad_jobs_environment_is_usage_error(self, tmp_path, capsys, monkeypatch):
+        data = tmp_path / "data"
+        run("synth", "--out", str(data), "--preset", "single", "--seed", "0")
+        monkeypatch.setenv("TRACKMERGE_JOBS", "x")
+        code = run("merge", "--manifest", str(data / "manifest.json"), "--out", str(tmp_path / "o"))
+        assert code == 2
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"] == "usage" and "TRACKMERGE_JOBS" in err["message"]
+        # an explicit --jobs does not consult the environment
+        code = run(
+            "merge",
+            "--manifest", str(data / "manifest.json"),
+            "--out", str(tmp_path / "o"),
+            "--jobs", "1",
+        )
+        assert code == 0

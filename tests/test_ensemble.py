@@ -58,6 +58,12 @@ class TestVote:
         with pytest.raises(TrackmergeError):
             majority_vote([a, b])
 
+    def test_zero_frames_rejected(self):
+        with pytest.raises(TrackmergeError, match="frame"):
+            majority_vote([[]])
+        with pytest.raises(TrackmergeError):
+            majority_vote([[], [lm([[1]])]])
+
     def test_random_triples_properties(self):
         rng = np.random.default_rng(3)
         for _ in range(25):

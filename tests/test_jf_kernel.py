@@ -1,0 +1,232 @@
+"""The bounding-box-cropped boundary and dilation kernel behind J and F,
+checked for exact equality against a brute-force dense reference."""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from trackmerge.errors import MaskError, TrackmergeError
+from trackmerge.labelmap import LabelMap
+from trackmerge.mask import Mask, boundary, dilate
+from trackmerge.metrics import (
+    ObjectResult,
+    evaluate,
+    f_measure,
+    j_measure,
+    sequence_stats,
+)
+
+TOLERANCES = (0, 0.5, 1, 2, 2.5, 3, 8, 40, math.inf)
+KERNEL = settings(max_examples=300, deadline=None, derandomize=True)
+
+
+# ---------------------------------------------------------------------------
+# brute-force reference, pixel by pixel over the whole frame
+
+
+def ref_boundary(g):
+    h, w = g.shape
+    out = np.zeros_like(g)
+    for y in range(h):
+        for x in range(w):
+            if not g[y, x]:
+                continue
+            for yy, xx in ((y - 1, x), (y + 1, x), (y, x - 1), (y, x + 1)):
+                if not (0 <= yy < h and 0 <= xx < w) or not g[yy, xx]:
+                    out[y, x] = True
+    return out
+
+
+def ref_dilate(g, radius):
+    h, w = g.shape
+    out = np.zeros_like(g)
+    sources = np.argwhere(g)
+    for y in range(h):
+        for x in range(w):
+            out[y, x] = any((y - sy) ** 2 + (x - sx) ** 2 <= radius * radius for sy, sx in sources)
+    return out
+
+
+def ref_j(a, b):
+    inter = int((a & b).sum())
+    union = int(a.sum()) + int(b.sum()) - inter
+    return inter / union if union else 1.0
+
+
+def ref_f(a, b, tolerance):
+    pb, gb = ref_boundary(a), ref_boundary(b)
+    if not pb.any() and not gb.any():
+        return 1.0
+    if not pb.any() or not gb.any():
+        return 0.0
+    precision = int((pb & ref_dilate(gb, tolerance)).sum()) / int(pb.sum())
+    recall = int((gb & ref_dilate(pb, tolerance)).sum()) / int(gb.sum())
+    if precision + recall == 0:
+        return 0.0
+    return 2 * precision * recall / (precision + recall)
+
+
+# ---------------------------------------------------------------------------
+# strategies
+
+
+@st.composite
+def grids(draw, shape):
+    h, w = shape
+    kind = draw(st.sampled_from(["random", "box", "pixel", "empty", "full"]))
+    g = np.zeros((h, w), bool)
+    if kind == "random":
+        g[:] = np.array(draw(st.lists(st.booleans(), min_size=h * w, max_size=h * w))).reshape(
+            h, w
+        )
+    elif kind == "box":
+        y0 = draw(st.integers(0, h - 1))
+        x0 = draw(st.integers(0, w - 1))
+        g[y0 : draw(st.integers(y0 + 1, h)), x0 : draw(st.integers(x0 + 1, w))] = True
+    elif kind == "pixel":
+        g[draw(st.integers(0, h - 1)), draw(st.integers(0, w - 1))] = True
+    elif kind == "full":
+        g[:] = True
+    return g
+
+
+shapes = st.tuples(st.integers(1, 12), st.integers(1, 12))
+single = shapes.flatmap(grids)
+pairs = shapes.flatmap(lambda hw: st.tuples(grids(hw), grids(hw)))
+
+
+def edge_grids(h=7, w=9):
+    """Masks touching each image border, single pixels, empty and full."""
+    out = []
+    for rows, cols in (
+        (slice(0, 2), slice(2, 5)),  # top
+        (slice(h - 2, h), slice(2, 5)),  # bottom
+        (slice(2, 5), slice(0, 2)),  # left
+        (slice(2, 5), slice(w - 2, w)),  # right
+        (slice(0, h), slice(3, 4)),  # top to bottom, one column
+        (slice(0, 1), slice(0, 1)),  # corner pixel
+        (slice(3, 4), slice(4, 5)),  # interior pixel
+        (slice(0, 0), slice(0, 0)),  # empty
+        (slice(0, h), slice(0, w)),  # full frame
+    ):
+        g = np.zeros((h, w), bool)
+        g[rows, cols] = True
+        out.append(g)
+    return out
+
+
+# ---------------------------------------------------------------------------
+
+
+class TestAgainstReference:
+    @KERNEL
+    @given(single)
+    def test_boundary(self, g):
+        assert boundary(Mask.from_dense(g)) == Mask.from_dense(ref_boundary(g))
+
+    @KERNEL
+    @given(single, st.sampled_from(TOLERANCES))
+    def test_dilate(self, g, radius):
+        assert dilate(Mask.from_dense(g), radius) == Mask.from_dense(ref_dilate(g, radius))
+
+    @KERNEL
+    @given(pairs)
+    def test_j_measure(self, pair):
+        a, b = pair
+        assert j_measure(Mask.from_dense(a), Mask.from_dense(b)) == ref_j(a, b)
+
+    @KERNEL
+    @given(pairs, st.sampled_from(TOLERANCES))
+    def test_f_measure(self, pair, tolerance):
+        a, b = pair
+        assert f_measure(Mask.from_dense(a), Mask.from_dense(b), tolerance) == ref_f(
+            a, b, tolerance
+        )
+
+    @pytest.mark.parametrize("tolerance", [0, 2.5, 100])
+    def test_edge_masks(self, tolerance):
+        cases = edge_grids()
+        for g in cases:
+            m = Mask.from_dense(g)
+            assert boundary(m) == Mask.from_dense(ref_boundary(g))
+            assert dilate(m, tolerance) == Mask.from_dense(ref_dilate(g, tolerance))
+            for g2 in cases:
+                m2 = Mask.from_dense(g2)
+                assert j_measure(m, m2) == ref_j(g, g2)
+                assert f_measure(m, m2, tolerance) == ref_f(g, g2, tolerance)
+
+
+@st.composite
+def videos(draw):
+    h, w = draw(shapes)
+    frames = draw(st.integers(2, 4))
+    label_grid = st.lists(st.integers(0, 2), min_size=h * w, max_size=h * w)
+    preds = [
+        LabelMap(w, h, np.array(draw(label_grid), np.uint8).reshape(h, w)) for _ in range(frames)
+    ]
+    gts = [{j: draw(grids((h, w))) for j in (1, 2)} for _ in range(frames)]
+    return preds, gts
+
+
+class TestEvaluateAgainstReference:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(videos(), st.sampled_from((None, 0, 2.5, 40)))
+    def test_evaluate(self, video, tolerance):
+        preds, gts = video
+        res = evaluate(
+            preds,
+            [{j: Mask.from_dense(g) for j, g in frame.items()} for frame in gts],
+            tolerance=tolerance,
+        )
+        h, w = preds[0].labels.shape
+        tol = math.ceil(0.008 * math.hypot(w, h)) if tolerance is None else tolerance
+        for j in (1, 2):
+            pairs = [(preds[t].labels == j, gts[t][j]) for t in range(1, len(preds))]
+            js = [ref_j(p, g) for p, g in pairs]
+            fs = [ref_f(p, g, tol) for p, g in pairs]
+            assert res.per_object[j] == ObjectResult(*sequence_stats(js), *sequence_stats(fs))
+        assert res.j_mean == float(np.mean([r.j_mean for r in res.per_object.values()]))
+        assert res.f_mean == float(np.mean([r.f_mean for r in res.per_object.values()]))
+
+
+class TestRejected:
+    def test_evaluate_dimension_mismatch(self):
+        # a 1xW prediction against HxW ground truth would broadcast as dense
+        # grids; it must still be rejected
+        gt = np.zeros((5, 6), bool)
+        gt[1:3, 1:4] = True
+        gts = [{1: Mask.from_dense(gt)}] * 3
+        preds = [LabelMap(6, 1, np.ones((1, 6), np.uint8))] * 3
+        with pytest.raises(MaskError, match="dimension mismatch"):
+            evaluate(preds, gts)
+
+    def test_measures_dimension_mismatch(self):
+        a, b = Mask.full(6, 1), Mask.full(6, 5)
+        with pytest.raises(MaskError):
+            j_measure(a, b)
+        with pytest.raises(MaskError):
+            f_measure(a, b, 1)
+
+    @pytest.mark.parametrize("tolerance", [-1, -0.5, math.nan])
+    def test_bad_tolerance(self, tolerance):
+        m = Mask.full(4, 4)
+        with pytest.raises(TrackmergeError, match="tolerance"):
+            f_measure(m, m, tolerance)
+        lm = LabelMap(4, 4, np.ones((4, 4), np.uint8))
+        with pytest.raises(TrackmergeError, match="tolerance"):
+            evaluate([lm, lm], [{1: m}, {1: m}], tolerance=tolerance)
+
+    def test_bad_dilation_radius(self):
+        with pytest.raises(MaskError):
+            dilate(Mask.full(3, 3), -1)
+        with pytest.raises(MaskError):
+            dilate(Mask.full(3, 3), math.nan)
+
+    def test_unknown_label_message(self):
+        m = Mask.full(4, 4)
+        lm = LabelMap(4, 4, np.full((4, 4), 7, np.uint8))
+        with pytest.raises(TrackmergeError, match=r"frame 0: unknown labels \[7\]"):
+            evaluate([lm, lm], [{1: m}, {1: m}])

@@ -82,6 +82,15 @@ class TestLoad:
         with pytest.raises(ManifestError, match="bbox"):
             load_manifest(path)
 
+    @pytest.mark.parametrize("object_id", [0, -3, 256, 300])
+    def test_object_id_outside_byte_range_rejected(self, tmp_path, object_id):
+        bad = json.loads(json.dumps(MINIMAL))
+        bad["ground_truth"][0]["object_id"] = object_id
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(bad))
+        with pytest.raises(ManifestError, match="object_id"):
+            load_manifest(path)
+
     def test_bbox_derived_when_omitted(self, tmp_path):
         ok = json.loads(json.dumps(MINIMAL))
         ok["frames"] = [[{"rle": [0, 3, 9], "objectness": 0.5, "embedding": [0, 0]}]]

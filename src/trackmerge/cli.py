@@ -184,6 +184,8 @@ def cmd_search(args):
     for d in args.data:
         m = load_manifest(os.path.join(d, "manifest.json"))
         m = filter_manifest(m, args.score_min, args.nms_iou)
+        # every candidate merges every frame: read each .flo file once
+        m.preloaded_flows = [m.flow(t) for t in range(1, m.frame_count)]
         videos.append((m, load_gt_dir(os.path.join(d, "gt"))))
     cfg = SearchConfig(
         sample_count=args.samples,
@@ -201,6 +203,13 @@ def cmd_ensemble(args):
     )
     if not video_ids:
         raise TrackmergeError(f"no video subdirectories in {args.inputs[0]}")
+    for inp in args.inputs[1:]:
+        extra = sorted(
+            d for d in os.listdir(inp)
+            if os.path.isdir(os.path.join(inp, d)) and d not in video_ids
+        )
+        if extra:
+            raise TrackmergeError(f"input {inp} has videos missing from {args.inputs[0]}: {extra}")
     for vid in video_ids:
         results = []
         for inp in args.inputs:

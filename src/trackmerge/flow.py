@@ -7,7 +7,7 @@ import struct
 import numpy as np
 
 from .errors import FlowError, MaskError
-from .mask import Mask
+from .mask import Mask, column_major
 
 FLO_MAGIC = 202021.25
 
@@ -77,9 +77,22 @@ def save_flo(field: FlowField, path):
         f.write(np.ascontiguousarray(field.vectors, dtype="<f4").tobytes())
 
 
-def _round_half_away(v: np.ndarray) -> np.ndarray:
-    # deterministic round-half-away-from-zero, per coordinate
-    return np.trunc(v + np.copysign(0.5, v))
+def source_index(backward_flow: FlowField) -> np.ndarray:
+    """For each pixel of frame t in column-major order, the column-major flat
+    index of its source pixel in frame t-1: (x + dx, y + dy) rounded half away
+    from zero, or height * width when that lies outside the image."""
+    h, w = backward_flow.height, backward_flow.width
+    v = backward_flow.vectors.transpose(1, 0, 2)  # (w, h, 2): column-major
+    sx = v[:, :, 0] + np.arange(w, dtype=np.float64)[:, None]
+    sy = v[:, :, 1] + np.arange(h, dtype=np.float64)
+    for c in (sx, sy):  # trunc(c + copysign(0.5, c)), in place
+        c += np.copysign(0.5, c)
+        np.trunc(c, out=c)
+    outside = (sx < 0) | (sx >= w) | (sy < 0) | (sy >= h)
+    sx *= h
+    sx += sy
+    sx[outside] = h * w
+    return sx.astype(np.intp).ravel()
 
 
 def warp_mask(m: Mask, backward_flow: FlowField) -> Mask:
@@ -94,12 +107,5 @@ def warp_mask(m: Mask, backward_flow: FlowField) -> Mask:
             f"mask {m.width}x{m.height} does not match flow "
             f"{backward_flow.width}x{backward_flow.height}"
         )
-    h, w = m.height, m.width
-    ys, xs = np.mgrid[0:h, 0:w]
-    sx = _round_half_away(xs + backward_flow.vectors[:, :, 0].astype(np.float64))
-    sy = _round_half_away(ys + backward_flow.vectors[:, :, 1].astype(np.float64))
-    inside = (sx >= 0) & (sx < w) & (sy >= 0) & (sy < h)
-    out = np.zeros((h, w), dtype=bool)
-    src = m.dense()
-    out[inside] = src[sy[inside].astype(np.intp), sx[inside].astype(np.intp)]
-    return Mask.from_dense(out)
+    out = column_major(m)[source_index(backward_flow)]
+    return Mask.from_dense(out.reshape((m.height, m.width), order="F"))

@@ -60,10 +60,16 @@ def write_pgm(lm: LabelMap, path):
         f.write(lm.labels.tobytes())
 
 
+# P5 header: magic, width, height, maxval, separated by whitespace and by
+# comments that run from '#' to the end of the line; one whitespace byte ends it
+_SEP = rb"(?:\s|#[^\r\n]*[\r\n])+"
+_P5_HEADER = re.compile(rb"P5" + _SEP + rb"(\d+)" + _SEP + rb"(\d+)" + _SEP + rb"(\d+)\s")
+
+
 def read_pgm(path) -> LabelMap:
     with open(path, "rb") as f:
         data = f.read()
-    m = re.match(rb"P5\s+(\d+)\s+(\d+)\s+(\d+)\s", data)
+    m = _P5_HEADER.match(data)
     if not m:
         raise TrackmergeError(f"{path}: not a binary P5 PGM")
     w, h, maxval = (int(g) for g in m.groups())

@@ -136,13 +136,38 @@ class VideoManifest:
 
 
 def _require(obj, key, where):
+    if not isinstance(obj, dict):
+        raise ManifestError(f"{where}: expected an object")
     if key not in obj:
         raise ManifestError(f"{where}: missing key '{key}'")
     return obj[key]
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_real(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _require_int(obj, key, where) -> int:
+    v = _require(obj, key, where)
+    if not _is_int(v):
+        raise ManifestError(f"{where}.{key}: expected an integer, got {v!r}")
+    return v
+
+
+def _require_list(obj, key, where, is_item=None) -> list:
+    """A JSON array, optionally with every item passing ``is_item``."""
+    v = _require(obj, key, where)
+    if not isinstance(v, list) or (is_item is not None and not all(map(is_item, v))):
+        raise ManifestError(f"{where}.{key}: not an array of the expected items")
+    return v
+
+
 def _mask_from_rle(rle, width, height, where) -> Mask:
-    if not isinstance(rle, list):
+    if not isinstance(rle, list) or not all(map(_is_int, rle)):
         raise ManifestError(f"{where}.rle: expected an integer array")
     try:
         return Mask(width, height, rle)
@@ -155,20 +180,25 @@ def _proposal_from_json(obj, t, i, width, height) -> Proposal:
     mask = _mask_from_rle(_require(obj, "rle", where), width, height, where)
     tight = None if mask.is_empty else mask.bbox()
     if "bbox" in obj and obj["bbox"] is not None:
-        x0, y0, x1, y1 = obj["bbox"]
-        box = BBox(x0, y0, x1, y1)
+        box = obj["bbox"]
+        if not (isinstance(box, list) and len(box) == 4 and all(map(_is_int, box))):
+            raise ManifestError(f"{where}.bbox: expected 4 integers, got {box!r}")
+        box = BBox(*box)
         if box != tight:
             raise ManifestError(f"{where}.bbox: not the tight bbox of the mask")
     else:
         if tight is None:
             raise ManifestError(f"{where}: empty proposal mask has no bbox")
         box = tight
+    objectness = _require(obj, "objectness", where)
+    if not _is_real(objectness):
+        raise ManifestError(f"{where}.objectness: expected a number, got {objectness!r}")
     return Proposal(
         frame_index=t,
         mask=mask,
         bbox=box,
-        objectness=float(_require(obj, "objectness", where)),
-        embedding=np.asarray(_require(obj, "embedding", where), dtype=np.float64),
+        objectness=float(objectness),
+        embedding=np.asarray(_require_list(obj, "embedding", where, _is_real), np.float64),
     )
 
 
@@ -221,28 +251,27 @@ def load_manifest(path, check_flow_files: bool = True) -> VideoManifest:
         except json.JSONDecodeError as e:
             raise ManifestError(f"{path}: not valid JSON ({e})") from e
     base_dir = os.path.dirname(os.path.abspath(path))
-    width = int(_require(data, "width", "manifest"))
-    height = int(_require(data, "height", "manifest"))
+    width = _require_int(data, "width", "manifest")
+    height = _require_int(data, "height", "manifest")
     gts = []
-    for k, obj in enumerate(_require(data, "ground_truth", "manifest")):
+    for k, obj in enumerate(_require_list(data, "ground_truth", "manifest")):
         where = f"ground_truth[{k}]"
+        mask = _mask_from_rle(_require(obj, "rle", where), width, height, where)
         gts.append(
             GroundTruthObject(
-                object_id=int(_require(obj, "object_id", where)),
-                first_frame_mask=_mask_from_rle(
-                    _require(obj, "rle", where), width, height, where
-                ),
-                first_frame_bbox=_mask_from_rle(
-                    _require(obj, "rle", where), width, height, where
-                ).bbox(),
-                embedding=np.asarray(_require(obj, "embedding", where), np.float64),
+                object_id=_require_int(obj, "object_id", where),
+                first_frame_mask=mask,
+                first_frame_bbox=mask.bbox(),
+                embedding=np.asarray(_require_list(obj, "embedding", where, _is_real), np.float64),
             )
         )
     frames = [
         [_proposal_from_json(p, t, i, width, height) for i, p in enumerate(frame)]
-        for t, frame in enumerate(_require(data, "frames", "manifest"))
+        for t, frame in enumerate(
+            _require_list(data, "frames", "manifest", lambda f: isinstance(f, list))
+        )
     ]
-    flow_paths = [str(p) for p in _require(data, "flows", "manifest")]
+    flow_paths = _require_list(data, "flows", "manifest", lambda p: isinstance(p, str))
     if check_flow_files:
         for p in flow_paths:
             if not os.path.isfile(os.path.join(base_dir, p)):
@@ -251,8 +280,8 @@ def load_manifest(path, check_flow_files: bool = True) -> VideoManifest:
         video_id=str(_require(data, "video_id", "manifest")),
         width=width,
         height=height,
-        frame_count=int(_require(data, "frame_count", "manifest")),
-        embedding_dim=int(_require(data, "embedding_dim", "manifest")),
+        frame_count=_require_int(data, "frame_count", "manifest"),
+        embedding_dim=_require_int(data, "embedding_dim", "manifest"),
         proposals=frames,
         ground_truth=gts,
         flow_paths=flow_paths,

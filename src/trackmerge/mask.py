@@ -104,8 +104,7 @@ class Mask:
     def dense(self) -> np.ndarray:
         """Decode to a dense (height, width) boolean grid (cached)."""
         if self._dense is None:
-            values = np.arange(len(self.runs)) % 2 == 1
-            flat = np.repeat(values, self.runs)
+            flat = column_major(self)[:-1]
             grid = flat.reshape((self.height, self.width), order="F")
             grid.setflags(write=False)
             object.__setattr__(self, "_dense", grid)
@@ -123,8 +122,14 @@ class Mask:
         """Tightest box containing all foreground pixels."""
         if self.is_empty:
             raise MaskError("empty mask has no bounding box")
-        ys, xs = np.nonzero(self.dense())
-        return BBox(int(xs.min()), int(ys.min()), int(xs.max()) + 1, int(ys.max()) + 1)
+        h = self.height
+        runs = run_table([self])
+        first, last = runs.starts, runs.ends - 1  # per foreground run
+        if (first // h != last // h).any():  # a run that wraps spans all rows
+            y0, y1 = 0, h
+        else:
+            y0, y1 = int((first % h).min()), int((last % h).max()) + 1
+        return BBox(int(first[0] // h), y0, int(last[-1] // h) + 1, y1)
 
 
 def check_same_shape(a: Mask, b: Mask):
@@ -161,6 +166,57 @@ def iou(a: Mask, b: Mask, empty_empty: float = 0.0) -> float:
     if union == 0:
         return float(empty_empty)
     return inter / union
+
+
+# ---------------------------------------------------------------------------
+# Overlap kernel. It scores many masks of one frame against one other grid
+# given in column-major order: one prefix sum of that grid, then per mask a
+# difference of the sum at the ends of each of its foreground runs.
+
+
+def column_major(m: Mask) -> np.ndarray:
+    """The mask's pixels in column-major order, followed by one background
+    pixel that out-of-image samples point at (see flow.source_index)."""
+    values = np.arange(len(m.runs) + 1) % 2 == 1
+    values[-1] = False
+    return np.repeat(values, m.runs + (1,))
+
+
+class RunTable(NamedTuple):
+    """The foreground runs of several same-shape masks, as column-major
+    [start, end) offsets; mask i owns runs first[i] to first[i + 1]."""
+
+    starts: np.ndarray
+    ends: np.ndarray
+    first: np.ndarray
+    areas: np.ndarray
+
+
+def run_table(masks) -> RunTable:
+    bounds = [np.cumsum(m.runs) for m in masks]
+    starts = [c[0:-1:2] for c in bounds]
+    ends = [c[1::2] for c in bounds]
+    counts = [len(e) for e in ends]
+    return RunTable(
+        np.concatenate(starts),
+        np.concatenate(ends),
+        np.concatenate(([0], np.cumsum(counts))),
+        np.array([m.area for m in masks]),
+    )
+
+
+def ious(table: RunTable, grid: np.ndarray) -> np.ndarray:
+    """IoU of every mask in the table with a column-major boolean grid,
+    0 where both are empty. Exact integer counts, so each value equals
+    iou(mask, other, empty_empty=0.0)."""
+    cum = np.zeros(grid.size + 1, dtype=np.int64)
+    np.cumsum(grid, out=cum[1:])
+    per_run = np.concatenate(([0], np.cumsum(cum[table.ends] - cum[table.starts])))
+    inter = per_run[table.first[1:]] - per_run[table.first[:-1]]
+    union = table.areas + cum[-1] - inter
+    out = np.zeros(len(inter))
+    np.divide(inter, union, out=out, where=union > 0)
+    return out
 
 
 # ---------------------------------------------------------------------------

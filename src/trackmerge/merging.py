@@ -10,18 +10,18 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import TrackmergeError
-from .flow import warp_mask
+from .flow import source_index
 from .labelmap import LabelMap, write_pgm
 from .manifest import VideoManifest
-from .mask import Mask, iou
+from .mask import Mask, column_major, ious, run_table
 from .scoring import (
     COMPONENTS,
     WeightVector,
-    combined_score,
+    combine,
     compute_video_max_distances,
     effective_weights,
-    inverse_scores,
-    reid_score,
+    embedding_distances,
+    frame_subscores,
 )
 
 ALL_ACTIVE = (True, True, True, True, True)
@@ -55,6 +55,48 @@ def _resolve_overlaps(width, height, entries) -> LabelMap:
     return LabelMap(width, height, labels)
 
 
+def _select(manifest: VideoManifest, keys, score_frame) -> TrackSet:
+    """The selection loop shared by greedy and oracle merging.
+
+    ``score_frame(t, proposals, previous)`` scores frame t's proposals given
+    each track's mask at frame t-1. It returns an (n, J) score array, whose
+    argmax per track is selected and ranks overlaps, and ``entry(k, jj)``, the
+    report fields ``keys`` of proposal k for track jj. They stay None where
+    nothing was selected: frame 0, which is the given GT, and empty frames.
+    """
+    w, h = manifest.width, manifest.height
+    gt = manifest.ground_truth
+    ids = [g.object_id for g in gt]
+    empty = Mask.empty(w, h)
+    blank = dict.fromkeys(("proposal", *keys))
+
+    selections = {j: [None] for j in ids}
+    masks = {j: [g.first_frame_mask] for j, g in zip(ids, gt)}
+    report = [{"frame": 0, "objects": {str(j): dict(blank) for j in ids}}]
+    label_maps = [_resolve_overlaps(w, h, [(j, masks[j][0], 0.0) for j in ids])]
+
+    for t in range(1, manifest.frame_count):
+        proposals = manifest.proposals[t]
+        objects, entries = {}, []
+        if proposals:
+            scores, entry = score_frame(t, proposals, [masks[j][t - 1] for j in ids])
+        for jj, j in enumerate(ids):
+            # first max wins: lowest index on ties
+            k = int(np.argmax(scores[:, jj])) if proposals else None
+            selections[j].append(k)
+            if k is None:
+                masks[j].append(empty)
+                objects[str(j)] = dict(blank)
+            else:
+                masks[j].append(proposals[k].mask)
+                entries.append((j, proposals[k].mask, float(scores[k, jj])))
+                objects[str(j)] = {"proposal": k, **entry(k, jj)}
+        label_maps.append(_resolve_overlaps(w, h, entries))
+        report.append({"frame": t, "objects": objects})
+
+    return TrackSet(manifest.video_id, ids, selections, masks, label_maps, report)
+
+
 def greedy_merge(
     manifest: VideoManifest,
     weights: WeightVector = None,
@@ -67,80 +109,21 @@ def greedy_merge(
     """
     weights = weights if weights is not None else WeightVector.equal()
     w = effective_weights(weights, active)
-    max_dist = compute_video_max_distances(manifest)
-    gt = manifest.ground_truth
-    ids = [g.object_id for g in gt]
-    empty = Mask.empty(manifest.width, manifest.height)
+    distances = embedding_distances(manifest)
+    max_dist = np.array(list(compute_video_max_distances(manifest, distances).values()))
 
-    selections = {j: [None] for j in ids}
-    masks = {j: [g.first_frame_mask] for j, g in zip(ids, gt)}
-    report = [
-        {
-            "frame": 0,
-            "objects": {
-                str(j): {"proposal": None, "sub_scores": None, "combined": None}
-                for j in ids
-            },
+    def score_frame(t, proposals, previous):
+        table = run_table([p.mask for p in proposals])
+        source = source_index(manifest.flow(t))  # shared by all tracks
+        prop = np.stack([ious(table, column_major(m)[source]) for m in previous], axis=1)
+        sub = frame_subscores([p.objectness for p in proposals], distances[t], max_dist, prop)
+        comb = combine(sub, w)
+        return comb, lambda k, jj: {
+            "sub_scores": dict(zip(COMPONENTS, (float(x) for x in sub[k, jj]))),
+            "combined": float(comb[k, jj]),
         }
-    ]
-    label_maps = [
-        _resolve_overlaps(
-            manifest.width,
-            manifest.height,
-            [(j, g.first_frame_mask, 0.0) for j, g in zip(ids, gt)],
-        )
-    ]
 
-    for t in range(1, manifest.frame_count):
-        proposals = manifest.proposals[t]
-        frame_report = {"frame": t, "objects": {}}
-        if not proposals:
-            for j in ids:
-                selections[j].append(None)
-                masks[j].append(empty)
-                frame_report["objects"][str(j)] = {
-                    "proposal": None,
-                    "sub_scores": None,
-                    "combined": None,
-                }
-            label_maps.append(LabelMap.background(manifest.width, manifest.height))
-            report.append(frame_report)
-            continue
-
-        flow = manifest.flow(t)
-        warped = {j: warp_mask(masks[j][t - 1], flow) for j in ids}
-
-        n = len(proposals)
-        reid = np.empty((n, len(ids)))
-        prop = np.empty((n, len(ids)))
-        for i, p in enumerate(proposals):
-            for jj, g in enumerate(gt):
-                reid[i, jj] = reid_score(p.embedding, g.embedding, max_dist[g.object_id])
-                prop[i, jj] = iou(p.mask, warped[g.object_id], empty_empty=0.0)
-
-        sub = np.empty((n, len(ids), 5))
-        comb = np.empty((n, len(ids)))
-        for i, p in enumerate(proposals):
-            for jj in range(len(ids)):
-                inv_r, inv_m = inverse_scores(reid[i], prop[i], jj)
-                sub[i, jj] = (p.objectness, reid[i, jj], prop[i, jj], inv_r, inv_m)
-                comb[i, jj] = combined_score(sub[i, jj], w)
-
-        frame_entries = []
-        for jj, j in enumerate(ids):
-            k = int(np.argmax(comb[:, jj]))  # first max wins: lowest index on ties
-            selections[j].append(k)
-            masks[j].append(proposals[k].mask)
-            frame_entries.append((j, proposals[k].mask, float(comb[k, jj])))
-            frame_report["objects"][str(j)] = {
-                "proposal": k,
-                "sub_scores": dict(zip(COMPONENTS, (float(x) for x in sub[k, jj]))),
-                "combined": float(comb[k, jj]),
-            }
-        label_maps.append(_resolve_overlaps(manifest.width, manifest.height, frame_entries))
-        report.append(frame_report)
-
-    return TrackSet(manifest.video_id, ids, selections, masks, label_maps, report)
+    return _select(manifest, ("sub_scores", "combined"), score_frame)
 
 
 def oracle_merge(manifest: VideoManifest, gt_all_frames) -> TrackSet:
@@ -157,39 +140,13 @@ def oracle_merge(manifest: VideoManifest, gt_all_frames) -> TrackSet:
     for t, frame_gt in enumerate(gt_all_frames):
         if set(frame_gt) != set(ids):
             raise TrackmergeError(f"full GT frame {t} object set does not match manifest")
-    empty = Mask.empty(manifest.width, manifest.height)
 
-    selections = {j: [None] for j in ids}
-    masks = {j: [g.first_frame_mask] for j, g in zip(ids, manifest.ground_truth)}
-    report = [{"frame": 0, "objects": {str(j): {"proposal": None, "iou": None} for j in ids}}]
-    label_maps = [
-        _resolve_overlaps(
-            manifest.width,
-            manifest.height,
-            [(j, g.first_frame_mask, 0.0) for j, g in zip(ids, manifest.ground_truth)],
-        )
-    ]
+    def score_frame(t, proposals, previous):
+        table = run_table([p.mask for p in proposals])
+        scores = np.stack([ious(table, column_major(gt_all_frames[t][j])) for j in ids], axis=1)
+        return scores, lambda k, jj: {"iou": float(scores[k, jj])}
 
-    for t in range(1, manifest.frame_count):
-        proposals = manifest.proposals[t]
-        frame_report = {"frame": t, "objects": {}}
-        frame_entries = []
-        for j in ids:
-            if not proposals:
-                selections[j].append(None)
-                masks[j].append(empty)
-                frame_report["objects"][str(j)] = {"proposal": None, "iou": None}
-                continue
-            scores = [iou(p.mask, gt_all_frames[t][j], empty_empty=0.0) for p in proposals]
-            k = int(np.argmax(scores))
-            selections[j].append(k)
-            masks[j].append(proposals[k].mask)
-            frame_entries.append((j, proposals[k].mask, float(scores[k])))
-            frame_report["objects"][str(j)] = {"proposal": k, "iou": float(scores[k])}
-        label_maps.append(_resolve_overlaps(manifest.width, manifest.height, frame_entries))
-        report.append(frame_report)
-
-    return TrackSet(manifest.video_id, ids, selections, masks, label_maps, report)
+    return _select(manifest, ("iou",), score_frame)
 
 
 def save_trackset(ts: TrackSet, out_dir):

@@ -84,19 +84,26 @@ def reid_score(proposal_embedding, gt_embedding, video_max_distance: float) -> f
     return 1.0 - float(np.linalg.norm(a - b)) / video_max_distance
 
 
-def compute_video_max_distances(manifest) -> dict:
+def embedding_distances(manifest) -> list:
+    """Per frame, the (proposals, objects) array of Euclidean distances from
+    each proposal embedding to each GT object embedding."""
+    gt = manifest.ground_truth
+    return [
+        np.array(
+            [[float(np.linalg.norm(p.embedding - g.embedding)) for g in gt] for p in frame]
+        ).reshape(len(frame), len(gt))
+        for frame in manifest.proposals
+    ]
+
+
+def compute_video_max_distances(manifest, distances=None) -> dict:
     """Per GT object, the max Euclidean distance from its embedding to any
-    proposal embedding across all frames; 0 if the video has no proposals."""
-    out = {}
-    for g in manifest.ground_truth:
-        best = 0.0
-        for frame in manifest.proposals:
-            for p in frame:
-                d = float(np.linalg.norm(p.embedding - g.embedding))
-                if d > best:
-                    best = d
-        out[g.object_id] = best
-    return out
+    proposal embedding across all frames; 0 if the video has no proposals.
+    ``distances`` may pass in embedding_distances(manifest)."""
+    if distances is None:
+        distances = embedding_distances(manifest)
+    best = np.concatenate(distances).max(axis=0, initial=0.0)
+    return {g.object_id: float(d) for g, d in zip(manifest.ground_truth, best)}
 
 
 def maskprop_score(candidate: Mask, prev_selected: Mask, backward_flow: FlowField) -> float:
@@ -124,3 +131,32 @@ def combined_score(sub_scores, w: WeightVector) -> float:
     if s.shape != (5,):
         raise TrackmergeError(f"expected 5 sub-scores, got shape {s.shape}")
     return float(np.dot(s, w.as_array()))
+
+
+def frame_subscores(objectness, distances, max_distances, maskprop) -> np.ndarray:
+    """The (n, J, 5) sub-scores of n proposals against J tracks in one frame,
+    each equal to what reid_score and inverse_scores give. ``distances`` and
+    ``maskprop`` are (n, J) arrays, ``max_distances`` has J entries."""
+    n, tracks = maskprop.shape
+    quotient = np.zeros((n, tracks))
+    np.divide(distances, max_distances, out=quotient, where=max_distances != 0)
+    sub = np.empty((n, tracks, 5))
+    sub[:, :, 0] = np.asarray(objectness)[:, None]
+    sub[:, :, 1] = 1.0 - quotient
+    sub[:, :, 2] = maskprop
+    sub[:, :, 3:] = 1.0  # a single track has no competitors
+    for jj in range(tracks):
+        others = np.delete(sub[:, :, 1:3], jj, axis=1)
+        if others.shape[1]:
+            sub[:, jj, 3:] = 1.0 - others.max(axis=1)
+    return sub
+
+
+def combine(sub, w: WeightVector) -> np.ndarray:
+    """combined_score of every (proposal, track) pair of an (n, J, 5) tensor,
+    one np.dot each: a matrix product may round differently and flip ties."""
+    wa = w.as_array()
+    out = np.empty(sub.shape[:2])
+    for i, jj in np.ndindex(out.shape):
+        out[i, jj] = np.dot(sub[i, jj], wa)
+    return out

@@ -185,3 +185,68 @@ class TestPipeline:
             "--jobs", "1",
         )
         assert code == 0
+
+    def test_merge_jobs_two_manifests_deterministic(self, tmp_path):
+        manifests = []
+        for preset, seed in (("crossing", "0"), ("random", "3")):
+            data = tmp_path / preset
+            run("synth", "--out", str(data), "--preset", preset, "--seed", seed)
+            manifests.append(str(data / "manifest.json"))
+        serial, parallel = tmp_path / "serial", tmp_path / "parallel"
+        assert run("merge", "--manifest", *manifests, "--out", str(serial), "--jobs", "1") == 0
+        assert run("merge", "--manifest", *manifests, "--out", str(parallel), "--jobs", "2") == 0
+        assert len(os.listdir(serial)) == 2
+        assert tree_bytes(serial) == tree_bytes(parallel)
+
+    @pytest.mark.parametrize("samples", ["2", "7"])
+    def test_search_reads_each_flow_file_once(self, tmp_path, monkeypatch, samples):
+        from trackmerge import manifest as manifest_module
+
+        dirs, flows = [], 0
+        for preset, seed in (("crossing", "0"), ("single", "1")):
+            data = tmp_path / preset
+            run("synth", "--out", str(data), "--preset", preset, "--seed", seed)
+            dirs.append(str(data))
+            flows += json.loads((data / "manifest.json").read_text())["frame_count"] - 1
+        loaded = []
+        real = manifest_module.load_flo
+        monkeypatch.setattr(
+            manifest_module, "load_flo", lambda path: loaded.append(path) or real(path)
+        )
+        code = run(
+            "search",
+            "--data", *dirs,
+            "--out", str(tmp_path / "search.json"),
+            "--samples", samples,
+            "--top-k", "1",
+            "--jobs", "1",
+        )
+        assert code == 0
+        assert len(loaded) == len(set(loaded)) == flows
+
+    def test_malformed_manifest_is_data_error(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        run("synth", "--out", str(data), "--preset", "single", "--seed", "0")
+        manifest = json.loads((data / "manifest.json").read_text())
+        manifest["width"] = "abc"
+        bad = data / "bad.json"
+        bad.write_text(json.dumps(manifest))
+        code = run("merge", "--manifest", str(bad), "--out", str(tmp_path / "o"))
+        assert code == 1
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"] == "ManifestError" and "width" in err["message"]
+
+    def test_ensemble_rejects_videos_only_in_later_inputs(self, tmp_path, capsys):
+        manifests = []
+        for preset, seed in (("single", "0"), ("random", "3")):
+            data = tmp_path / preset
+            run("synth", "--out", str(data), "--preset", preset, "--seed", seed)
+            manifests.append(str(data / "manifest.json"))
+        one, both = tmp_path / "one", tmp_path / "both"
+        assert run("merge", "--manifest", manifests[0], "--out", str(one)) == 0
+        assert run("merge", "--manifest", *manifests, "--out", str(both)) == 0
+        (extra,) = set(os.listdir(both)) - set(os.listdir(one))
+        code = run("ensemble", "--inputs", str(one), str(both), "--out", str(tmp_path / "v"))
+        assert code == 1
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"] == "TrackmergeError" and extra in err["message"]

@@ -91,6 +91,55 @@ class TestLoad:
         with pytest.raises(ManifestError, match="object_id"):
             load_manifest(path)
 
+    def test_ground_truth_bbox_read_from_its_mask(self, tmp_path):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(MINIMAL))
+        gt = load_manifest(path).ground_truth[0]
+        assert gt.first_frame_bbox == gt.first_frame_mask.bbox()
+        assert (gt.first_frame_bbox.x0, gt.first_frame_bbox.x1) == (0, 1)
+
+    def test_width_not_an_integer(self, tmp_path):
+        self.check_rejected(tmp_path, lambda m: m.update(width="abc"), "width")
+
+    def test_bbox_with_three_elements(self, tmp_path):
+        self.check_rejected(
+            tmp_path, lambda m: m["frames"][0][0].update(bbox=[0, 0, 1]), "bbox"
+        )
+
+    def test_objectness_not_a_number(self, tmp_path):
+        self.check_rejected(
+            tmp_path, lambda m: m["frames"][0][0].update(objectness="x"), "objectness"
+        )
+
+    def test_embedding_not_an_array(self, tmp_path):
+        self.check_rejected(
+            tmp_path, lambda m: m["frames"][0][0].update(embedding="x"), "embedding"
+        )
+
+    def test_frames_not_a_list_of_lists(self, tmp_path):
+        self.check_rejected(tmp_path, lambda m: m.update(frames=5), "frames")
+
+    def test_fractional_object_id(self, tmp_path):
+        self.check_rejected(
+            tmp_path, lambda m: m["ground_truth"][0].update(object_id=1.5), "object_id"
+        )
+
+    @staticmethod
+    def check_rejected(tmp_path, corrupt, field):
+        """A valid one-proposal manifest loads; with ``corrupt`` applied it
+        raises a ManifestError naming ``field``."""
+        good = json.loads(json.dumps(MINIMAL))
+        good["frames"] = [
+            [{"rle": [0, 3, 9], "bbox": [0, 0, 1, 3], "objectness": 0.5, "embedding": [0, 0]}]
+        ]
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(good))
+        load_manifest(path)
+        corrupt(good)
+        path.write_text(json.dumps(good))
+        with pytest.raises(ManifestError, match=field):
+            load_manifest(path)
+
     def test_bbox_derived_when_omitted(self, tmp_path):
         ok = json.loads(json.dumps(MINIMAL))
         ok["frames"] = [[{"rle": [0, 3, 9], "objectness": 0.5, "embedding": [0, 0]}]]

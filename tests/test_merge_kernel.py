@@ -1,0 +1,132 @@
+"""The merge frame kernel: the per-frame flow source map and the prefix-sum
+overlap of many proposals with one grid, checked for exact equality against
+the pixel-by-pixel naive reference."""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from naive_reference import naive_iou, naive_round_half_away, naive_warp
+from trackmerge.flow import FlowField, source_index, warp_mask
+from trackmerge.mask import Mask, column_major, iou, ious, run_table
+
+KERNEL = settings(max_examples=300, deadline=None, derandomize=True)
+
+# exact half steps round away from zero; the large ones leave the image
+COMPONENTS = st.one_of(
+    st.sampled_from([0.0, -0.0, 0.5, -0.5, 1.5, -1.5, 2.5, -2.5, -1.0, 3.0, -20.0, 20.0, 1e6]),
+    st.floats(-12, 12, width=32),
+)
+
+
+@st.composite
+def grids(draw, shape):
+    h, w = shape
+    kind = draw(st.sampled_from(["random", "box", "border", "empty", "full"]))
+    g = np.zeros((h, w), bool)
+    if kind == "random":
+        cells = draw(st.lists(st.booleans(), min_size=h * w, max_size=h * w))
+        g[:] = np.array(cells).reshape(h, w)
+    elif kind == "box":
+        y0 = draw(st.integers(0, h - 1))
+        x0 = draw(st.integers(0, w - 1))
+        g[y0 : draw(st.integers(y0 + 1, h)), x0 : draw(st.integers(x0 + 1, w))] = True
+    elif kind == "border":  # the ring of pixels along the image border
+        g[:] = True
+        g[1:-1, 1:-1] = False
+    elif kind == "full":
+        g[:] = True
+    return g
+
+
+@st.composite
+def flows(draw, shape):
+    h, w = shape
+    mode = draw(st.sampled_from(["uniform", "per_pixel"]))
+    if mode == "uniform":
+        vec = np.empty((h, w, 2), np.float32)
+        vec[:, :, 0] = draw(COMPONENTS)
+        vec[:, :, 1] = draw(COMPONENTS)
+    else:
+        values = draw(st.lists(COMPONENTS, min_size=2 * h * w, max_size=2 * h * w))
+        vec = np.array(values, np.float32).reshape(h, w, 2)
+    return FlowField(w, h, vec)
+
+
+shapes = st.tuples(st.integers(1, 9), st.integers(1, 9))
+scenes = shapes.flatmap(
+    lambda hw: st.tuples(grids(hw), st.lists(grids(hw), min_size=1, max_size=5), flows(hw))
+)
+
+
+def naive_source_index(vectors):
+    """Column-major output order; h * w marks a source outside the image."""
+    h, w = vectors.shape[:2]
+    out = []
+    for x in range(w):
+        for y in range(h):
+            dx, dy = vectors[y, x]
+            sx = naive_round_half_away(x + float(dx))
+            sy = naive_round_half_away(y + float(dy))
+            out.append(sx * h + sy if 0 <= sx < w and 0 <= sy < h else h * w)
+    return out
+
+
+class TestSourceIndex:
+    @KERNEL
+    @given(scenes)
+    def test_source_index_and_warp(self, scene):
+        previous, _, flow = scene
+        assert source_index(flow).tolist() == naive_source_index(flow.vectors)
+        warped = warp_mask(Mask.from_dense(previous), flow)
+        assert np.array_equal(warped.dense(), naive_warp(previous, flow.vectors))
+
+    def test_half_steps_and_exits(self):
+        # 1x4 image: sources x + dx = -0.5, 1.5, 1.5, 3.5 round half away
+        # from zero to -1, 2, 2, 4; -1 and 4 lie outside
+        vec = np.zeros((1, 4, 2), np.float32)
+        vec[0, :, 0] = [-0.5, 0.5, -0.5, 0.5]
+        assert source_index(FlowField(4, 1, vec)).tolist() == [4, 2, 2, 4]
+
+
+class TestOverlap:
+    @KERNEL
+    @given(scenes)
+    def test_ious_against_naive(self, scene):
+        previous, proposals, flow = scene
+        masks = [Mask.from_dense(g) for g in proposals]
+        table = run_table(masks)
+        warped = naive_warp(previous, flow.vectors)
+        got = ious(table, column_major(Mask.from_dense(previous))[source_index(flow)])
+        assert got.tolist() == [naive_iou(g, warped) for g in proposals]
+        plain = ious(table, column_major(Mask.from_dense(previous)))
+        assert plain.tolist() == [naive_iou(g, previous) for g in proposals]
+        assert plain.tolist() == [iou(m, Mask.from_dense(previous)) for m in masks]
+
+    def test_empty_against_empty_is_zero(self):
+        empty = Mask.empty(3, 2)
+        table = run_table([empty, Mask.full(3, 2)])
+        assert ious(table, column_major(empty)).tolist() == [0.0, 0.0]
+
+    def test_run_table_offsets(self):
+        # column-major 2x3 grid: foreground at flat offsets 1-2 and 5
+        m = Mask(3, 2, [1, 2, 2, 1])
+        table = run_table([Mask.empty(3, 2), m])
+        assert table.starts.tolist() == [1, 5]
+        assert table.ends.tolist() == [3, 6]
+        assert table.first.tolist() == [0, 0, 2]
+        assert table.areas.tolist() == [0, 3]
+
+
+class TestBBox:
+    @KERNEL
+    @given(shapes.flatmap(grids))
+    def test_bbox_from_runs(self, g):
+        m = Mask.from_dense(g)
+        if not g.any():
+            return
+        ys, xs = np.nonzero(g)
+        box = m.bbox()
+        assert (box.x0, box.y0, box.x1, box.y1) == (
+            xs.min(), ys.min(), xs.max() + 1, ys.max() + 1
+        )

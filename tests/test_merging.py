@@ -4,9 +4,19 @@ import pytest
 from naive_reference import naive_selections
 from trackmerge.errors import TrackmergeError
 from trackmerge.manifest import filter_manifest
-from trackmerge.merging import greedy_merge, oracle_merge
+from trackmerge.mask import iou
+from trackmerge.merging import ALL_ACTIVE, greedy_merge, oracle_merge
 from trackmerge.metrics import evaluate
-from trackmerge.scoring import WeightVector
+from trackmerge.scoring import (
+    COMPONENTS,
+    WeightVector,
+    combined_score,
+    compute_video_max_distances,
+    effective_weights,
+    inverse_scores,
+    maskprop_score,
+    reid_score,
+)
 from trackmerge.search import sample_simplex
 from trackmerge.synth import (
     ScenarioSpec,
@@ -116,6 +126,57 @@ class TestGreedy:
         lm = ts.label_maps[1]
         total = (lm.labels != 0).sum()
         assert total == ts.masks[1][1].area  # each pixel assigned exactly once
+
+
+class TestReport:
+    """Every reported float equals (==) what the public scalar helpers give,
+    so the array form of the frame step matches them on any machine."""
+
+    @pytest.mark.parametrize("seed", [0, 3, 6])
+    def test_greedy_report_equals_scalar_helpers(self, seed):
+        manifest = filter_manifest(generate(random_scenario(seed)).manifest)
+        manifest.proposals[2] = []
+        rng = np.random.default_rng(seed)
+        runs = [
+            (WeightVector.equal(), ALL_ACTIVE),
+            (sample_simplex(rng), ALL_ACTIVE),
+            (sample_simplex(rng), (True, False, True, True, False)),
+        ]
+        gt = manifest.ground_truth
+        max_dist = compute_video_max_distances(manifest)
+        for w, active in runs:
+            ts = greedy_merge(manifest, w, active)
+            for t in range(1, manifest.frame_count):
+                for jj, g in enumerate(gt):
+                    entry = ts.report[t]["objects"][str(g.object_id)]
+                    if not manifest.proposals[t]:
+                        assert entry == dict.fromkeys(("proposal", "sub_scores", "combined"))
+                        continue
+                    p = manifest.proposals[t][entry["proposal"]]
+                    reid = [reid_score(p.embedding, o.embedding, max_dist[o.object_id]) for o in gt]
+                    prop = [
+                        maskprop_score(p.mask, ts.masks[o.object_id][t - 1], manifest.flow(t))
+                        for o in gt
+                    ]
+                    sub = (p.objectness, reid[jj], prop[jj], *inverse_scores(reid, prop, jj))
+                    assert entry["sub_scores"] == dict(zip(COMPONENTS, sub))
+                    assert entry["combined"] == combined_score(sub, effective_weights(w, active))
+
+    def test_oracle_report_and_empty_frame(self):
+        result = generate(random_scenario(4))
+        manifest = result.manifest
+        manifest.proposals[1] = []
+        ts = oracle_merge(manifest, result.gt_all_frames)
+        for t in range(1, manifest.frame_count):
+            for j in manifest.object_ids:
+                entry = ts.report[t]["objects"][str(j)]
+                if t == 1:
+                    assert entry == {"proposal": None, "iou": None}
+                    assert ts.selections[j][1] is None and ts.masks[j][1].is_empty
+                    continue
+                p = manifest.proposals[t][entry["proposal"]]
+                assert entry["iou"] == iou(p.mask, result.gt_all_frames[t][j])
+        assert not ts.label_maps[1].labels.any()
 
 
 class TestOracle:

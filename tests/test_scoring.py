@@ -6,9 +6,12 @@ from trackmerge.flow import FlowField
 from trackmerge.mask import Mask
 from trackmerge.scoring import (
     WeightVector,
+    combine,
     combined_score,
     compute_video_max_distances,
     effective_weights,
+    embedding_distances,
+    frame_subscores,
     inverse_scores,
     maskprop_score,
     reid_score,
@@ -188,3 +191,40 @@ class TestCombined:
         scores = [combined_score(s, w) for s in subs]
         scaled = [combined_score(s * 0.37, w) for s in subs]
         assert int(np.argmax(scores)) == int(np.argmax(scaled))
+
+
+class TestFrameArrays:
+    """The array form of one frame step equals the scalar helpers exactly."""
+
+    @pytest.mark.parametrize("tracks", [1, 2, 4])
+    def test_subscores_and_combination(self, tracks):
+        rng = np.random.default_rng(tracks)
+        n = 6
+        objectness = rng.random(n).tolist()
+        distances = rng.random((n, tracks)) * 0.8
+        max_distances = distances.max(axis=0)
+        max_distances[0] = 0.0  # all embeddings equal: reid is 1
+        maskprop = rng.random((n, tracks))
+        maskprop[0] = 0.0
+        sub = frame_subscores(objectness, distances, max_distances, maskprop)
+        w = sample_simplex(rng)
+        comb = combine(sub, w)
+        for i in range(n):
+            reid = [
+                reid_score([distances[i, jj]], [0.0], max_distances[jj]) for jj in range(tracks)
+            ]
+            for jj in range(tracks):
+                want = (objectness[i], reid[jj], maskprop[i, jj])
+                want += inverse_scores(reid, maskprop[i].tolist(), jj)
+                assert sub[i, jj].tolist() == list(want)
+                assert comb[i, jj] == combined_score(want, w)
+
+    def test_distances_feed_max_distances(self):
+        manifest = generate(random_scenario(5)).manifest
+        distances = embedding_distances(manifest)
+        assert [d.shape for d in distances] == [
+            (len(frame), len(manifest.ground_truth)) for frame in manifest.proposals
+        ]
+        assert compute_video_max_distances(manifest, distances) == compute_video_max_distances(
+            manifest
+        )

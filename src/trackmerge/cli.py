@@ -9,7 +9,6 @@ given their flags and seed, including under --jobs parallelism.
 from __future__ import annotations
 
 import argparse
-import glob
 import json
 import os
 import sys
@@ -19,7 +18,7 @@ import numpy as np
 
 from .ensemble import majority_vote
 from .errors import TrackmergeError
-from .labelmap import read_pgm, write_pgm
+from .labelmap import read_frames, write_frames
 from .manifest import filter_manifest, load_manifest, save_manifest
 from .merging import greedy_merge, oracle_merge, save_trackset
 from .metrics import evaluate, write_report
@@ -95,21 +94,11 @@ def parse_components(text: str):
 def load_gt_dir(path):
     """Read a directory of per-frame GT label-map PGMs into the per-frame
     {object_id: Mask} layout used by evaluation and oracle merging."""
-    files = sorted(glob.glob(os.path.join(path, "*.pgm")))
-    if not files:
-        raise TrackmergeError(f"no .pgm files in {path}")
-    maps = [read_pgm(f) for f in files]
+    maps = read_frames(path)
     ids = sorted(set(np.unique(np.stack([m.labels for m in maps]))) - {0})
     if not ids:
         raise TrackmergeError(f"{path}: ground truth contains no objects")
     return [{int(j): lm.object_mask(int(j)) for j in ids} for lm in maps]
-
-
-def load_pred_dir(path):
-    files = sorted(glob.glob(os.path.join(path, "*.pgm")))
-    if not files:
-        raise TrackmergeError(f"no .pgm files in {path}")
-    return [read_pgm(f) for f in files]
 
 
 # ---------------------------------------------------------------------------
@@ -172,7 +161,7 @@ def cmd_oracle(args):
 
 
 def cmd_eval(args):
-    pred = load_pred_dir(args.pred)
+    pred = read_frames(args.pred)
     gt = load_gt_dir(args.gt)
     res = evaluate(pred, gt, tolerance=args.tolerance, exclude_last=args.exclude_last)
     write_report(res, args.out, args.csv)
@@ -196,32 +185,22 @@ def cmd_search(args):
     save_search_result(random_search(videos, cfg, jobs=jobs), args.out)
 
 
+def _video_dirs(root) -> list:
+    return sorted(d for d in os.listdir(root) if os.path.isdir(os.path.join(root, d)))
+
+
 def cmd_ensemble(args):
-    video_ids = sorted(
-        d for d in os.listdir(args.inputs[0])
-        if os.path.isdir(os.path.join(args.inputs[0], d))
-    )
+    first, *rest = args.inputs
+    video_ids = _video_dirs(first)
     if not video_ids:
-        raise TrackmergeError(f"no video subdirectories in {args.inputs[0]}")
-    for inp in args.inputs[1:]:
-        extra = sorted(
-            d for d in os.listdir(inp)
-            if os.path.isdir(os.path.join(inp, d)) and d not in video_ids
-        )
-        if extra:
-            raise TrackmergeError(f"input {inp} has videos missing from {args.inputs[0]}: {extra}")
+        raise TrackmergeError(f"no video subdirectories in {first}")
+    for inp in rest:  # check every input before writing anything
+        differ = sorted(set(_video_dirs(inp)) ^ set(video_ids))
+        if differ:
+            raise TrackmergeError(f"inputs {first} and {inp} differ in videos {differ}")
     for vid in video_ids:
-        results = []
-        for inp in args.inputs:
-            d = os.path.join(inp, vid)
-            if not os.path.isdir(d):
-                raise TrackmergeError(f"input {inp} is missing video '{vid}'")
-            results.append(load_pred_dir(d))
-        voted = majority_vote(results)
-        out_dir = os.path.join(args.out, vid)
-        os.makedirs(out_dir, exist_ok=True)
-        for t, lm in enumerate(voted):
-            write_pgm(lm, os.path.join(out_dir, f"{t:05d}.pgm"))
+        voted = majority_vote([read_frames(os.path.join(inp, vid)) for inp in args.inputs])
+        write_frames(voted, os.path.join(args.out, vid))
 
 
 # ---------------------------------------------------------------------------

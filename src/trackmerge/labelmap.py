@@ -1,7 +1,10 @@
-"""Per-frame label maps (0 = background) and their P5 PGM serialization."""
+"""Per-frame label maps (0 = background), how overlapping masks are painted
+into one, and their on-disk form: one P5 PGM per frame, named <t:05d>.pgm."""
 
 from __future__ import annotations
 
+import glob
+import os
 import re
 
 import numpy as np
@@ -17,6 +20,8 @@ class LabelMap:
     __slots__ = ("width", "height", "labels")
 
     def __init__(self, width, height, labels):
+        if width <= 0 or height <= 0:
+            raise TrackmergeError(f"label map is {width}x{height}, dimensions must be positive")
         arr = np.asarray(labels)
         if arr.shape != (height, width):
             raise TrackmergeError(
@@ -53,6 +58,16 @@ class LabelMap:
         return cls(width, height, np.zeros((height, width), np.uint8))
 
 
+def paint(width, height, entries) -> LabelMap:
+    """entries: (object_id, mask, priority) triples. Overlapping pixels go to
+    the highest priority, ties to the lowest object_id."""
+    order = sorted(entries, key=lambda e: (-e[2], e[0]))
+    labels = np.zeros((height, width), dtype=np.uint8)
+    for object_id, m, _ in reversed(order):
+        labels[m.dense()] = object_id
+    return LabelMap(width, height, labels)
+
+
 def write_pgm(lm: LabelMap, path):
     """Write a binary (P5) PGM, maxval 255, pixel value = object id."""
     with open(path, "wb") as f:
@@ -79,3 +94,18 @@ def read_pgm(path) -> LabelMap:
     if len(pixels) != w * h:
         raise TrackmergeError(f"{path}: payload is {len(pixels)} bytes, expected {w * h}")
     return LabelMap(w, h, np.frombuffer(pixels, np.uint8).reshape((h, w)))
+
+
+def write_frames(maps, directory):
+    """Write frame t of ``maps`` to ``directory``/<t:05d>.pgm, creating it."""
+    os.makedirs(directory, exist_ok=True)
+    for t, lm in enumerate(maps):
+        write_pgm(lm, os.path.join(directory, f"{t:05d}.pgm"))
+
+
+def read_frames(directory) -> list:
+    """The label maps of ``directory``'s .pgm files, in file-name order."""
+    files = sorted(glob.glob(os.path.join(directory, "*.pgm")))
+    if not files:
+        raise TrackmergeError(f"no .pgm files in {directory}")
+    return [read_pgm(f) for f in files]

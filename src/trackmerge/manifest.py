@@ -6,13 +6,13 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .errors import ManifestError, TrackmergeError
 from .flow import FlowField, load_flo
-from .mask import BBox, Mask, iou
+from .mask import BBox, Mask, check_same_shape, column_major, ious, run_table
 
 
 @dataclass(frozen=True, eq=False)
@@ -76,6 +76,10 @@ class VideoManifest:
     base_dir: str = "."
 
     def __post_init__(self):
+        # video_id names the video's result directory
+        v = self.video_id
+        if not isinstance(v, str) or v in ("", ".", "..") or any(c in v for c in "/\\\0"):
+            raise ManifestError(f"video_id must be a plain directory name, got {v!r}")
         if self.frame_count <= 0:
             raise ManifestError("frame_count must be positive")
         if self.embedding_dim <= 0:
@@ -240,8 +244,8 @@ def save_manifest(m: VideoManifest, path):
         f.write("\n")
 
 
-def load_manifest(path, check_flow_files: bool = True) -> VideoManifest:
-    """Load and validate a manifest JSON file.
+def load_manifest(path) -> VideoManifest:
+    """Load and validate a manifest JSON file; every flow file must exist.
 
     Raises ManifestError naming the offending field on any schema violation.
     """
@@ -272,12 +276,11 @@ def load_manifest(path, check_flow_files: bool = True) -> VideoManifest:
         )
     ]
     flow_paths = _require_list(data, "flows", "manifest", lambda p: isinstance(p, str))
-    if check_flow_files:
-        for p in flow_paths:
-            if not os.path.isfile(os.path.join(base_dir, p)):
-                raise ManifestError(f"flows: missing flow file '{p}'")
+    for p in flow_paths:
+        if not os.path.isfile(os.path.join(base_dir, p)):
+            raise ManifestError(f"flows: missing flow file '{p}'")
     return VideoManifest(
-        video_id=str(_require(data, "video_id", "manifest")),
+        video_id=_require(data, "video_id", "manifest"),
         width=width,
         height=height,
         frame_count=_require_int(data, "frame_count", "manifest"),
@@ -303,24 +306,21 @@ def filter_proposals(frame_proposals, score_min: float = 0.05, nms_iou: float = 
         (i, p) for i, p in enumerate(frame_proposals) if p.objectness > score_min
     ]
     candidates.sort(key=lambda ip: (-ip[1].objectness, ip[0]))
+    masks = [p.mask for _, p in candidates]
+    for m in masks[1:]:
+        check_same_shape(masks[0], m)
+    table = run_table(masks) if masks else None
+    alive = np.ones(len(candidates), dtype=bool)
     kept = []
-    for _, p in candidates:
-        if all(iou(p.mask, q.mask) < nms_iou for q in kept):
+    for i, (_, p) in enumerate(candidates):
+        if alive[i]:
             kept.append(p)
+            # the exact integer IoU of mask.iou, with every candidate at once
+            alive &= ious(table, column_major(p.mask)) < nms_iou
     return kept
 
 
 def filter_manifest(m: VideoManifest, score_min: float = 0.05, nms_iou: float = 0.66):
     """Apply filter_proposals to every frame, returning a new manifest."""
-    return VideoManifest(
-        video_id=m.video_id,
-        width=m.width,
-        height=m.height,
-        frame_count=m.frame_count,
-        embedding_dim=m.embedding_dim,
-        proposals=[filter_proposals(f, score_min, nms_iou) for f in m.proposals],
-        ground_truth=m.ground_truth,
-        flow_paths=m.flow_paths,
-        preloaded_flows=m.preloaded_flows,
-        base_dir=m.base_dir,
-    )
+    proposals = [filter_proposals(f, score_min, nms_iou) for f in m.proposals]
+    return replace(m, proposals=proposals)

@@ -1,5 +1,6 @@
-"""Greedy per-frame proposal selection (one track per ground-truth object),
-pixel-level overlap resolution, and the oracle-merging upper bound."""
+"""Greedy per-frame proposal selection (one track per ground-truth object)
+and the oracle-merging upper bound. Overlapping selections go to the higher
+score when labelmap.paint builds each frame's label map."""
 
 from __future__ import annotations
 
@@ -11,7 +12,7 @@ import numpy as np
 
 from .errors import TrackmergeError
 from .flow import source_index
-from .labelmap import LabelMap, write_pgm
+from .labelmap import paint, write_frames
 from .manifest import VideoManifest
 from .mask import Mask, column_major, ious, run_table
 from .scoring import (
@@ -45,16 +46,6 @@ class TrackSet:
     report: list = field(default_factory=list)
 
 
-def _resolve_overlaps(width, height, entries) -> LabelMap:
-    """entries: list of (object_id, mask, priority_score). Overlapping pixels
-    go to the highest score, ties to the lowest object_id."""
-    order = sorted(entries, key=lambda e: (-e[2], e[0]))
-    labels = np.zeros((height, width), dtype=np.uint8)
-    for object_id, m, _ in reversed(order):
-        labels[m.dense()] = object_id
-    return LabelMap(width, height, labels)
-
-
 def _select(manifest: VideoManifest, keys, score_frame) -> TrackSet:
     """The selection loop shared by greedy and oracle merging.
 
@@ -73,7 +64,7 @@ def _select(manifest: VideoManifest, keys, score_frame) -> TrackSet:
     selections = {j: [None] for j in ids}
     masks = {j: [g.first_frame_mask] for j, g in zip(ids, gt)}
     report = [{"frame": 0, "objects": {str(j): dict(blank) for j in ids}}]
-    label_maps = [_resolve_overlaps(w, h, [(j, masks[j][0], 0.0) for j in ids])]
+    label_maps = [paint(w, h, [(j, masks[j][0], 0.0) for j in ids])]
 
     for t in range(1, manifest.frame_count):
         proposals = manifest.proposals[t]
@@ -91,7 +82,7 @@ def _select(manifest: VideoManifest, keys, score_frame) -> TrackSet:
                 masks[j].append(proposals[k].mask)
                 entries.append((j, proposals[k].mask, float(scores[k, jj])))
                 objects[str(j)] = {"proposal": k, **entry(k, jj)}
-        label_maps.append(_resolve_overlaps(w, h, entries))
+        label_maps.append(paint(w, h, entries))
         report.append({"frame": t, "objects": objects})
 
     return TrackSet(manifest.video_id, ids, selections, masks, label_maps, report)
@@ -153,9 +144,7 @@ def save_trackset(ts: TrackSet, out_dir):
     """Write `<out_dir>/<video_id>/<frame, 5 digits>.pgm` label maps plus a
     selections.json report."""
     video_dir = os.path.join(out_dir, ts.video_id)
-    os.makedirs(video_dir, exist_ok=True)
-    for t, lm in enumerate(ts.label_maps):
-        write_pgm(lm, os.path.join(video_dir, f"{t:05d}.pgm"))
+    write_frames(ts.label_maps, video_dir)
     with open(os.path.join(video_dir, "selections.json"), "w", encoding="utf-8") as f:
         json.dump(
             {"video_id": ts.video_id, "object_ids": ts.object_ids, "frames": ts.report},

@@ -250,3 +250,48 @@ class TestPipeline:
         assert code == 1
         err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert err["error"] == "TrackmergeError" and extra in err["message"]
+
+    def test_ensemble_checks_every_input_before_writing(self, tmp_path, capsys):
+        manifests = {}
+        for preset, seed in (("single", "0"), ("random", "3")):
+            data = tmp_path / preset
+            run("synth", "--out", str(data), "--preset", preset, "--seed", seed)
+            manifests[preset] = str(data / "manifest.json")
+        both, rand = tmp_path / "both", tmp_path / "rand"
+        assert run("merge", "--manifest", *manifests.values(), "--out", str(both)) == 0
+        assert run("merge", "--manifest", manifests["random"], "--out", str(rand)) == 0
+        # the video missing from the later input sorts after the one they share
+        (missing,) = set(os.listdir(both)) - set(os.listdir(rand))
+        assert missing > os.listdir(rand)[0]
+        voted = tmp_path / "v"
+        assert run("ensemble", "--inputs", str(both), str(rand), "--out", str(voted)) == 1
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"] == "TrackmergeError" and missing in err["message"]
+        assert not voted.exists()
+
+    def test_zero_size_pgm_is_data_error(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        run("synth", "--out", str(data), "--preset", "single", "--seed", "0")
+        pred = tmp_path / "pred"
+        pred.mkdir()
+        (pred / "00000.pgm").write_bytes(b"P5\n0 0\n255\n")
+        code = run("eval", "--pred", str(pred), "--gt", str(data / "gt"),
+                   "--out", str(tmp_path / "r.json"))
+        assert code == 1
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"] == "TrackmergeError" and "dimensions" in err["message"]
+
+    @pytest.mark.parametrize("video_id", ["../escaped", "a\0b", {"a": 1}])
+    def test_video_id_outside_out_is_data_error(self, tmp_path, capsys, video_id):
+        data = tmp_path / "data"
+        run("synth", "--out", str(data), "--preset", "single", "--seed", "0")
+        manifest = json.loads((data / "manifest.json").read_text())
+        manifest["video_id"] = video_id
+        bad = data / "bad.json"
+        bad.write_text(json.dumps(manifest))
+        out = tmp_path / "work" / "o"
+        code = run("merge", "--manifest", str(bad), "--out", str(out))
+        assert code == 1
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"] == "ManifestError" and "video_id" in err["message"]
+        assert not (tmp_path / "work").exists()

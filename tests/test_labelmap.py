@@ -1,8 +1,11 @@
+import os
+
 import numpy as np
 import pytest
 
 from trackmerge.errors import TrackmergeError
-from trackmerge.labelmap import LabelMap, read_pgm, write_pgm
+from trackmerge.labelmap import LabelMap, paint, read_frames, read_pgm, write_frames, write_pgm
+from trackmerge.mask import Mask
 
 
 class TestPgm:
@@ -24,3 +27,52 @@ class TestPgm:
         (tmp_path / "a.pgm").write_bytes(b"P5 3 2 # no end")
         with pytest.raises(TrackmergeError, match="P5"):
             read_pgm(tmp_path / "a.pgm")
+
+    @pytest.mark.parametrize("header", [b"P5\n0 0\n255\n", b"P5\n0 3\n255\n", b"P5\n4 0\n255\n"])
+    def test_zero_dimension_rejected(self, tmp_path, header):
+        (tmp_path / "a.pgm").write_bytes(header)
+        with pytest.raises(TrackmergeError, match="dimensions must be positive"):
+            read_pgm(tmp_path / "a.pgm")
+
+    def test_zero_dimension_label_map_rejected(self):
+        with pytest.raises(TrackmergeError):
+            LabelMap(0, 0, np.zeros((0, 0), np.uint8))
+
+
+def bar(x0, x1, width=6, height=2):
+    grid = np.zeros((height, width), bool)
+    grid[:, x0:x1] = True
+    return Mask.from_dense(grid)
+
+
+class TestPaint:
+    def test_highest_priority_wins_overlap(self):
+        lm = paint(6, 2, [(1, bar(0, 4), 0.2), (2, bar(2, 6), 0.9)])
+        assert lm.labels[0].tolist() == [1, 1, 2, 2, 2, 2]
+
+    def test_priority_tie_goes_to_lowest_id(self):
+        for entries in ([(1, bar(0, 4), 0.5), (2, bar(2, 6), 0.5)],
+                        [(2, bar(2, 6), 0.5), (1, bar(0, 4), 0.5)]):
+            assert paint(6, 2, entries).labels[0].tolist() == [1, 1, 1, 1, 2, 2]
+
+    def test_no_entries_is_background(self):
+        assert paint(6, 2, []) == LabelMap.background(6, 2)
+
+
+class TestFrameDirectory:
+    def test_round_trip_and_names(self, tmp_path):
+        maps = [LabelMap(3, 2, TestPgm.LABELS), LabelMap.background(3, 2)]
+        write_frames(maps, tmp_path / "video")
+        assert sorted(os.listdir(tmp_path / "video")) == ["00000.pgm", "00001.pgm"]
+        assert read_frames(tmp_path / "video") == maps
+
+    def test_frames_read_in_name_order(self, tmp_path):
+        maps = [LabelMap(1, 1, [[t]]) for t in range(12)]
+        write_frames(maps, tmp_path)
+        (tmp_path / "notes.txt").write_text("not a frame")
+        assert read_frames(tmp_path) == maps
+
+    def test_directory_without_frames_rejected(self, tmp_path):
+        (tmp_path / "notes.txt").write_text("not a frame")
+        with pytest.raises(TrackmergeError, match="no .pgm files"):
+            read_frames(tmp_path)

@@ -3,15 +3,22 @@ import json
 import numpy as np
 import pytest
 
-from trackmerge.errors import ManifestError
+from trackmerge.errors import ManifestError, MaskError
 from trackmerge.manifest import (
     Proposal,
     filter_proposals,
     load_manifest,
     save_manifest,
 )
-from trackmerge.mask import Mask
-from trackmerge.synth import generate, random_scenario, save_scenario
+from trackmerge.mask import Mask, iou
+from trackmerge.synth import (
+    ScenarioSpec,
+    ShapeSpec,
+    crossing_scenario,
+    generate,
+    random_scenario,
+    save_scenario,
+)
 
 
 def make_proposal(grid, objectness, dim=4, frame=0):
@@ -124,6 +131,20 @@ class TestLoad:
             tmp_path, lambda m: m["ground_truth"][0].update(object_id=1.5), "object_id"
         )
 
+    @pytest.mark.parametrize(
+        "video_id", ["../escaped", "a/b", "a\\b", "a\0b", "", ".", "..", {"a": 1}, 7, None]
+    )
+    def test_video_id_not_a_directory_name(self, tmp_path, video_id):
+        self.check_rejected(tmp_path, lambda m: m.update(video_id=video_id), "video_id")
+
+    @pytest.mark.parametrize("video_id", ["v", "..v", "a.b", "rand 1"])
+    def test_video_id_plain_name_accepted(self, tmp_path, video_id):
+        ok = json.loads(json.dumps(MINIMAL))
+        ok["video_id"] = video_id
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(ok))
+        assert load_manifest(path).video_id == video_id
+
     @staticmethod
     def check_rejected(tmp_path, corrupt, field):
         """A valid one-proposal manifest loads; with ``corrupt`` applied it
@@ -222,3 +243,70 @@ class TestFilter:
         c = make_proposal(block(8, 4, 0, 0, 4, 4), 0.5)  # duplicate of a
         out = filter_proposals([a, b, c], 0.05, 0.66)
         assert out == [a, b]
+
+
+def pairwise_nms(proposals, score_min, nms_iou):
+    """Greedy NMS as documented, one mask.iou per (candidate, kept) pair."""
+    order = sorted(
+        (i for i, p in enumerate(proposals) if p.objectness > score_min),
+        key=lambda i: (-proposals[i].objectness, i),
+    )
+    kept = []
+    for i in order:
+        if all(iou(proposals[i].mask, q.mask) < nms_iou for q in kept):
+            kept.append(proposals[i])
+    return kept
+
+
+def crowded_scenario(seed):
+    """48x32, two objects, many overlapping distractors and near-copies."""
+    return ScenarioSpec(
+        seed=seed,
+        frame_count=3,
+        width=48,
+        height=32,
+        objects=(
+            ShapeSpec("rect", (10, 8), (4, 4), (2, 1)),
+            ShapeSpec("ellipse", (9, 11), (30, 12), (-2, 1)),
+        ),
+        distractor_count=25,
+        embedding_noise=0.1,
+        spurious_rate=0.9,
+    )
+
+
+class TestFilterMatchesPairwiseNms:
+    THRESHOLDS = (0.0, 0.3, 0.66, 1.0)
+
+    def check(self, frames):
+        for frame in frames:
+            for nms_iou in self.THRESHOLDS:
+                kept = filter_proposals(frame, 0.05, nms_iou)
+                expected = pairwise_nms(frame, 0.05, nms_iou)
+                assert [id(p) for p in kept] == [id(p) for p in expected]
+
+    def test_random_scenarios(self):
+        for seed in range(40):
+            self.check(generate(random_scenario(seed)).manifest.proposals)
+
+    def test_crossing_and_crowded_scenarios(self):
+        for seed in (1, 2, 3):
+            self.check(generate(crossing_scenario(seed)).manifest.proposals)
+            self.check(generate(crowded_scenario(seed)).manifest.proposals)
+
+    def test_empty_and_duplicate_masks(self):
+        empty = Mask.empty(6, 4)
+        props = [
+            Proposal(0, empty, None, 0.9, np.zeros(4)),
+            make_proposal(block(6, 4, 0, 0, 3, 4), 0.8),
+            Proposal(0, empty, None, 0.7, np.zeros(4)),
+            make_proposal(block(6, 4, 0, 0, 3, 4), 0.6),
+            make_proposal(block(6, 4, 0, 0, 6, 4), 0.5),
+        ]
+        self.check([props, props[::-1], []])
+
+    def test_mismatched_shapes_rejected(self):
+        a = make_proposal(block(6, 4, 0, 0, 3, 4), 0.9)
+        b = make_proposal(block(8, 4, 0, 0, 3, 4), 0.8)
+        with pytest.raises(MaskError, match="dimension mismatch"):
+            filter_proposals([a, b])

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -88,3 +90,48 @@ class TestGenerate:
         result = generate(spec)
         m = result.gt_all_frames[0][1]
         assert 0 < m.area < 24  # inside the 6x4 bounding box
+
+
+class TestRandomScenario:
+    # sha256 over repr(random_scenario(seed, **kwargs)) for seeds 0-999,
+    # recorded before the speeds were capped: the specs that the
+    # tests and demos draw (max_frames <= 6) must not change
+    DIGESTS = [
+        ({}, "70aaade714fcd451e6114def30195f59d039eb89151be8e70f08f052955d83b4"),
+        ({"max_frames": 2}, "71d672ad2df4be1b1d65d9abf5c8c21965531479af7495253672975401c5b40c"),
+        ({"max_frames": 3}, "014479e386fae282230c4ed1d905ab25c23ddc9794ed64d154738e8c2d93b23e"),
+        ({"max_frames": 4}, "ecb2345c2f10ffcfd14b5764b7d43a0de2ff55ea2b8f88bd22832faf249794bc"),
+        ({"max_frames": 5}, "5b0706d96110783f3fc9503082655a91da83ce2d2327f8c2f02c6c8d6c5dbd1b"),
+        (
+            {"max_frames": 4, "max_objects": 2},
+            "250383474e19a9671912bc3717548cb89f8fc25054c5d373b8e00db5f77b388f",
+        ),
+        (
+            {"require_disjoint": False},
+            "1132ec05ae0cec86086a9c4c963c3f3e59ff8945c9cd558d8d0287f977431362",
+        ),
+        (
+            {"max_frames": 6, "max_objects": 3, "max_distractors": 2, "spurious_rate": 0.0},
+            "c11c5feff3f3a4732a866304a87e002638ee45409c90dabb3347b3da69c3916a",
+        ),
+    ]
+
+    @pytest.mark.parametrize(
+        "kwargs,digest",
+        DIGESTS,
+        ids=[",".join(f"{k}={v}" for k, v in kw.items()) or "defaults" for kw, _ in DIGESTS],
+    )
+    def test_small_specs_unchanged(self, kwargs, digest):
+        h = hashlib.sha256()
+        for seed in range(1000):
+            h.update(repr(random_scenario(seed, **kwargs)).encode())
+        assert h.hexdigest() == digest
+
+    @pytest.mark.parametrize("max_frames", [20, 30])
+    def test_long_videos_keep_the_drawn_object_count(self, max_frames):
+        for seed in range(300):
+            rng = np.random.default_rng(seed)
+            frame_count = int(rng.integers(2, max_frames + 1))
+            drawn = int(rng.integers(1, 4))
+            spec = random_scenario(seed, max_frames=max_frames)
+            assert (spec.frame_count, len(spec.objects)) == (frame_count, drawn)

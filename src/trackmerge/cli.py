@@ -198,9 +198,13 @@ def cmd_ensemble(args):
         differ = sorted(set(_video_dirs(inp)) ^ set(video_ids))
         if differ:
             raise TrackmergeError(f"inputs {first} and {inp} differ in videos {differ}")
-    for vid in video_ids:
-        voted = majority_vote([read_frames(os.path.join(inp, vid)) for inp in args.inputs])
-        write_frames(voted, os.path.join(args.out, vid))
+    # vote every video before writing any, so a bad input leaves --out alone
+    voted = [
+        majority_vote([read_frames(os.path.join(inp, vid)) for inp in args.inputs])
+        for vid in video_ids
+    ]
+    for vid, maps in zip(video_ids, voted):
+        write_frames(maps, os.path.join(args.out, vid))
 
 
 # ---------------------------------------------------------------------------

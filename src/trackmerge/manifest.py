@@ -12,7 +12,7 @@ import numpy as np
 
 from .errors import ManifestError, TrackmergeError
 from .flow import FlowField, load_flo
-from .mask import BBox, Mask, check_same_shape, column_major, ious, run_table
+from .mask import BBox, Mask, check_same_shape, foreground_span, ious, run_table
 
 
 @dataclass(frozen=True, eq=False)
@@ -240,7 +240,8 @@ def manifest_to_json(m: VideoManifest) -> dict:
 
 def save_manifest(m: VideoManifest, path):
     with open(path, "w", encoding="utf-8") as f:
-        json.dump(manifest_to_json(m), f, sort_keys=True, separators=(",", ":"))
+        # dumps encodes in C; dump would stream through the Python encoder
+        f.write(json.dumps(manifest_to_json(m), sort_keys=True, separators=(",", ":")))
         f.write("\n")
 
 
@@ -315,8 +316,10 @@ def filter_proposals(frame_proposals, score_min: float = 0.05, nms_iou: float = 
     for i, (_, p) in enumerate(candidates):
         if alive[i]:
             kept.append(p)
-            # the exact integer IoU of mask.iou, with every candidate at once
-            alive &= ious(table, column_major(p.mask)) < nms_iou
+            # the exact integer IoU of mask.iou, with every candidate at once,
+            # summed over the kept mask's span only
+            start, grid = foreground_span(p.mask)
+            alive &= ious(table.window(start, grid.size), grid) < nms_iou
     return kept
 
 

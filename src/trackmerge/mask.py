@@ -182,6 +182,17 @@ def column_major(m: Mask) -> np.ndarray:
     return np.repeat(values, m.runs + (1,))
 
 
+def foreground_span(m: Mask):
+    """(start, grid): the mask's pixels in column-major order from its first
+    foreground pixel through its last, and the offset of the first. An empty
+    mask gives (0, an empty grid)."""
+    runs = m.runs
+    stop = len(runs) - len(runs) % 2  # runs[1:stop] ends with a foreground run
+    if stop < 2:
+        return 0, np.zeros(0, dtype=bool)
+    return runs[0], np.repeat(np.arange(1, stop) % 2 == 1, runs[1:stop])
+
+
 class RunTable(NamedTuple):
     """The foreground runs of several same-shape masks, as column-major
     [start, end) offsets; mask i owns runs first[i] to first[i + 1]."""
@@ -190,6 +201,15 @@ class RunTable(NamedTuple):
     ends: np.ndarray
     first: np.ndarray
     areas: np.ndarray
+
+    def window(self, start: int, size: int) -> "RunTable":
+        """The runs cut to column-major pixels [start, start + size) and
+        offset from start, for ious against a grid that covers only those
+        pixels of a mask (background elsewhere); areas stay whole."""
+        return self._replace(
+            starts=np.clip(self.starts - start, 0, size),
+            ends=np.clip(self.ends - start, 0, size),
+        )
 
 
 def run_table(masks) -> RunTable:

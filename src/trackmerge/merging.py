@@ -88,6 +88,42 @@ def _select(manifest: VideoManifest, keys, score_frame) -> TrackSet:
     return TrackSet(manifest.video_id, ids, selections, masks, label_maps, report)
 
 
+class SubScorer:
+    """The sub-score kernel of one video, shared by greedy merging and the
+    weight search: ``scorer(t, previous)`` is the (n, J, 5) sub-score tensor
+    of frame t's n proposals given each track's mask at frame t-1.
+
+    Frame t's run table and flow source map depend only on t. With ``keep``
+    set they are built once and kept, for callers that score a frame under
+    many track states; otherwise they are built on each call, so one pass
+    over the video holds one frame's worth at a time.
+    """
+
+    def __init__(self, manifest: VideoManifest, keep=False):
+        self.manifest = manifest
+        self.distances = embedding_distances(manifest)
+        self.max_dist = np.array(
+            list(compute_video_max_distances(manifest, self.distances).values())
+        )
+        self._kept = {} if keep else None
+
+    def frame(self, t):
+        """(run table of frame t's proposals, source_index of its flow)."""
+        if self._kept is not None and t in self._kept:
+            return self._kept[t]
+        table = run_table([p.mask for p in self.manifest.proposals[t]])
+        source = source_index(self.manifest.flow(t))  # shared by all tracks
+        if self._kept is not None:
+            self._kept[t] = table, source
+        return table, source
+
+    def __call__(self, t, previous) -> np.ndarray:
+        table, source = self.frame(t)
+        prop = np.stack([ious(table, column_major(m)[source]) for m in previous], axis=1)
+        objectness = [p.objectness for p in self.manifest.proposals[t]]
+        return frame_subscores(objectness, self.distances[t], self.max_dist, prop)
+
+
 def greedy_merge(
     manifest: VideoManifest,
     weights: WeightVector = None,
@@ -100,14 +136,10 @@ def greedy_merge(
     """
     weights = weights if weights is not None else WeightVector.equal()
     w = effective_weights(weights, active)
-    distances = embedding_distances(manifest)
-    max_dist = np.array(list(compute_video_max_distances(manifest, distances).values()))
+    scorer = SubScorer(manifest)
 
     def score_frame(t, proposals, previous):
-        table = run_table([p.mask for p in proposals])
-        source = source_index(manifest.flow(t))  # shared by all tracks
-        prop = np.stack([ious(table, column_major(m)[source]) for m in previous], axis=1)
-        sub = frame_subscores([p.objectness for p in proposals], distances[t], max_dist, prop)
+        sub = scorer(t, previous)
         comb = combine(sub, w)
         return comb, lambda k, jj: {
             "sub_scores": dict(zip(COMPONENTS, (float(x) for x in sub[k, jj]))),

@@ -122,6 +122,51 @@ class EvalResult:
     jf_mean: float
 
 
+def check_labels(t, lm, ids):
+    """Every nonzero label of frame t's label map must be one of ``ids``."""
+    present = np.flatnonzero(np.bincount(lm.labels.ravel())).tolist()
+    unknown = set(present) - {0} - set(ids)
+    if unknown:
+        raise TrackmergeError(f"frame {t}: unknown labels {sorted(unknown)}")
+
+
+def score_frame(lm, gt_frame, ids, tolerance) -> list:
+    """(J, F) of one predicted label map for each object id in ``ids``,
+    against that frame's {object_id: Mask} GT."""
+    out = []
+    for j in ids:
+        gt_mask = gt_frame[j]
+        check_same_shape(lm, gt_mask)
+        pred, gt = lm.labels == j, gt_mask.dense()
+        out.append((_region_similarity(pred, gt), _boundary_similarity(pred, gt, tolerance)))
+    return out
+
+
+def summarize(ids, frame_scores) -> EvalResult:
+    """The EvalResult of score_frame's lists for the evaluated frames, in
+    frame order."""
+    per_object = {}
+    for jj, j in enumerate(ids):
+        jm, jr, jd = sequence_stats([s[jj][0] for s in frame_scores])
+        fm, fr, fd = sequence_stats([s[jj][1] for s in frame_scores])
+        per_object[j] = ObjectResult(jm, jr, jd, fm, fr, fd)
+
+    def agg(attr):
+        return float(np.mean([getattr(r, attr) for r in per_object.values()]))
+
+    j_mean, f_mean = agg("j_mean"), agg("f_mean")
+    return EvalResult(
+        per_object=per_object,
+        j_mean=j_mean,
+        j_recall=agg("j_recall"),
+        j_decay=agg("j_decay"),
+        f_mean=f_mean,
+        f_recall=agg("f_recall"),
+        f_decay=agg("f_decay"),
+        jf_mean=(j_mean + f_mean) / 2,
+    )
+
+
 def evaluate(pred_label_maps, gt_all_frames, tolerance=None, exclude_last=False) -> EvalResult:
     """Score predicted label maps against per-frame per-object GT masks.
 
@@ -138,10 +183,7 @@ def evaluate(pred_label_maps, gt_all_frames, tolerance=None, exclude_last=False)
         raise TrackmergeError("need at least 2 frames to evaluate")
     ids = sorted(gt_all_frames[0])
     for t, lm in enumerate(pred_label_maps):
-        present = np.flatnonzero(np.bincount(lm.labels.ravel())).tolist()
-        unknown = set(present) - {0} - set(ids)
-        if unknown:
-            raise TrackmergeError(f"frame {t}: unknown labels {sorted(unknown)}")
+        check_labels(t, lm, ids)
     if tolerance is None:
         tolerance = default_boundary_tolerance(
             pred_label_maps[0].width, pred_label_maps[0].height
@@ -152,33 +194,8 @@ def evaluate(pred_label_maps, gt_all_frames, tolerance=None, exclude_last=False)
     if not frames:
         raise TrackmergeError("no frames left to evaluate")
     _check_tolerance(tolerance)
-
-    per_object = {}
-    for j in ids:
-        js, fs = [], []
-        for t in frames:
-            lm, gt_mask = pred_label_maps[t], gt_all_frames[t][j]
-            check_same_shape(lm, gt_mask)
-            pred, gt = lm.labels == j, gt_mask.dense()
-            js.append(_region_similarity(pred, gt))
-            fs.append(_boundary_similarity(pred, gt, tolerance))
-        jm, jr, jd = sequence_stats(js)
-        fm, fr, fd = sequence_stats(fs)
-        per_object[j] = ObjectResult(jm, jr, jd, fm, fr, fd)
-
-    def agg(attr):
-        return float(np.mean([getattr(r, attr) for r in per_object.values()]))
-
-    j_mean, f_mean = agg("j_mean"), agg("f_mean")
-    return EvalResult(
-        per_object=per_object,
-        j_mean=j_mean,
-        j_recall=agg("j_recall"),
-        j_decay=agg("j_decay"),
-        f_mean=f_mean,
-        f_recall=agg("f_recall"),
-        f_decay=agg("f_decay"),
-        jf_mean=(j_mean + f_mean) / 2,
+    return summarize(
+        ids, [score_frame(pred_label_maps[t], gt_all_frames[t], ids, tolerance) for t in frames]
     )
 
 

@@ -1,19 +1,32 @@
 """Random search over the five merging weights: uniform samples on the
-probability simplex, evaluated by merging + benchmark scoring, with the
-equal-weights vector always force-included as candidate 0."""
+probability simplex, each scored by greedy merging and benchmark scoring,
+with the equal-weights vector always force-included as candidate 0.
+
+Candidates share almost all of that work: frame t's sub-scores depend only
+on what the tracks selected at frame t-1, never on the weights. So each
+video is walked depth first as a tree of merge states (frame t, the
+selections before it). A state builds its sub-score tensor once and splits
+its candidates by what they select and by the paint order of overlapping
+selections; each distinct label map of a state is scored once, and each
+leaf, one distinct merge of the whole video, is summarized once. The
+scores equal those of greedy_merge then evaluate, bit for bit (see _decide).
+"""
 
 from __future__ import annotations
 
 import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 
 from .errors import TrackmergeError
-from .merging import greedy_merge
-from .metrics import evaluate
-from .scoring import WeightVector
+from .labelmap import paint
+from .mask import Mask
+from .merging import SubScorer
+from .metrics import check_labels, default_boundary_tolerance, score_frame, summarize
+from .scoring import WeightVector, combine
 
 OBJECTIVES = ("jf_mean", "j_mean", "f_mean")
 
@@ -43,6 +56,8 @@ class SearchResult:
     best_score: float
     top_k_weights: list
     trace: list = field(default_factory=list)  # evaluation order audit
+    states: int = 0  # merge states walked: one sub-score tensor each
+    leaves: int = 0  # distinct whole-video merges: one summary each
 
 
 def sample_simplex(rng: np.random.Generator) -> WeightVector:
@@ -54,58 +69,194 @@ def sample_simplex(rng: np.random.Generator) -> WeightVector:
 
 def _candidates(cfg: SearchConfig):
     """Candidate 0 is always the equal-weights vector; the rest are seeded
-    uniform simplex samples (PCG64 stream from the configured seed)."""
-    rng = np.random.default_rng(cfg.seed)
-    out = [WeightVector.equal()]
-    for _ in range(cfg.sample_count - 1):
-        out.append(sample_simplex(rng))
+    uniform simplex samples (PCG64 stream from the configured seed), drawn
+    as sample_simplex draws them, in one call."""
+    draws = np.random.default_rng(cfg.seed).standard_exponential((cfg.sample_count - 1, 5))
+    draws /= draws.sum(axis=1, keepdims=True)
+    return [WeightVector.equal(), *(WeightVector(*row) for row in draws.tolist())]
+
+
+# Matrix-product scores closer than this to a tie are redone with
+# scoring.combine, the definition of a combined score.
+TIE = 1e-9
+
+
+def _approx_scores(weights, sub) -> np.ndarray:
+    """The (g, n, J) combined scores of g weight rows by one matrix product:
+    within a few ulps of combine's np.dot, but not always equal to it."""
+    n, tracks = sub.shape[:2]
+    return (weights @ sub.reshape(n * tracks, 5).T).reshape(len(weights), n, tracks)
+
+
+def _group_rows(keys):
+    """The distinct rows of a 1-D or 2-D integer array, in lexicographic
+    order, and for each the ascending indices of the rows equal to it."""
+    keys = keys.reshape(len(keys), -1)
+    order = np.lexsort(keys.T[::-1])
+    ordered = keys[order]
+    new = np.ones(len(keys), dtype=bool)
+    new[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    starts = np.flatnonzero(new)
+    return ordered[starts], np.split(order, starts[1:])
+
+
+def _decide(sub, weights, candidates, group, ids, masks):
+    """What each candidate of one state selects and paints at its frame.
+
+    ``sub`` is the state's (n, J, 5) sub-score tensor, ``group`` the
+    candidates' indices into ``candidates`` (whose weights are the rows of
+    ``weights``), ``ids`` the track object ids and ``masks`` the frame's
+    proposal masks. Returns one (selections, variants) pair per distinct
+    choice of proposals, one per track; each variant lists the candidates,
+    as positions in ``group``, that paint one label map from them.
+
+    _approx_scores scores every candidate at once. It may round differently
+    from combine's np.dot, which defines the scores, so a candidate is scored
+    again by combine where the product is within TIE of a tie: a track's
+    top-2 margin, or the selected scores of two overlapping tracks, whose
+    order decides the shared pixels. Two tracks that select equal sub-score
+    vectors tie exactly under any weights; the lower object id wins, as in
+    labelmap.paint, with no rescoring.
+    """
+    n, tracks = sub.shape[:2]
+    scores = _approx_scores(weights[group], sub)
+    select = scores.argmax(axis=1)
+    top = np.take_along_axis(scores, select[:, None, :], axis=1)[:, 0, :]
+    exact = np.zeros(len(group), dtype=bool)
+
+    def rescore(rows):
+        for i in rows:
+            comb = combine(sub, candidates[group[i]])
+            select[i] = comb.argmax(axis=0)
+            top[i] = comb[select[i], np.arange(tracks)]
+        exact[rows] = True
+
+    if n > 1:
+        ranked = np.partition(scores, n - 2, axis=1)
+        margin = ranked[:, n - 1] - ranked[:, n - 2]
+        rescore(np.flatnonzero((margin < TIE).any(axis=1)))
+
+    choices = []
+    for k, rows in zip(*_group_rows(select)):
+        order = []  # per overlapping pair of tracks: is the first on top?
+        for a in range(tracks):
+            for b in range(a + 1, tracks):
+                if not np.any(masks[k[a]].dense() & masks[k[b]].dense()):
+                    continue
+                if np.array_equal(sub[k[a], a], sub[k[b], b]):
+                    continue  # an exact tie for every candidate
+                close = ~exact[rows] & (np.abs(top[rows, a] - top[rows, b]) < TIE)
+                rescore(rows[close])
+                sa, sb = top[rows, a], top[rows, b]
+                order.append((sa > sb) | ((sa == sb) & (ids[a] < ids[b])))
+        variants = [rows[v] for v in _group_rows(np.stack(order, axis=1))[1]] if order else [rows]
+        choices.append((k, variants))
+    return choices
+
+
+@dataclass
+class _Walk:
+    """One video's search tree: each candidate's leaf and each leaf's score."""
+
+    leaf: np.ndarray
+    scores: list
+    states: int
+
+
+def _walk(video, candidates, weights, objective) -> _Walk:
+    """Score every candidate on one (manifest, full-video GT) pair."""
+    manifest, gt = video
+    frames = manifest.frame_count
+    # the checks evaluate() makes of every candidate's merge
+    if len(gt) != frames:
+        raise TrackmergeError(f"prediction has {frames} frames, GT has {len(gt)}")
+    if frames < 2:
+        raise TrackmergeError("need at least 2 frames to evaluate")
+    w, h = manifest.width, manifest.height
+    gt_ids = sorted(gt[0])
+    tolerance = default_boundary_tolerance(w, h)
+    ids = manifest.object_ids
+    scorer = SubScorer(manifest, keep=True)
+    empty = Mask.empty(w, h)
+    first = [g.first_frame_mask for g in manifest.ground_truth]
+    check_labels(0, paint(w, h, [(j, m, 0.0) for j, m in zip(ids, first)]), gt_ids)
+
+    out = _Walk(np.zeros(len(candidates), dtype=np.intp), [], 0)
+    # A state is (frame t, the tracks' masks at t-1, its paths). A path is a
+    # (history, candidate indices) pair; its history links the per-frame
+    # score_frame lists so far as (earlier history, this frame's list).
+    stack = [(1, first, [(None, np.arange(len(candidates)))])]
+    while stack:
+        t, previous, paths = stack.pop()
+        if t == frames:
+            for history, members in paths:
+                per_frame = []
+                while history is not None:
+                    history, frame = history
+                    per_frame.append(frame)
+                out.leaf[members] = len(out.scores)
+                out.scores.append(getattr(summarize(gt_ids, per_frame[::-1]), objective))
+            continue
+        out.states += 1
+        group = np.concatenate([members for _, members in paths])
+        path_of = np.repeat(np.arange(len(paths)), [len(m) for _, m in paths])
+        masks = [p.mask for p in manifest.proposals[t]]
+        if masks:
+            sub = scorer(t, previous)
+            choices = _decide(sub, weights, candidates, group, ids, masks)
+        else:
+            choices = [(np.full(len(ids), -1), [np.arange(len(group))])]
+        for k, variants in choices:
+            child = []
+            for rows in variants:
+                entries = []
+                if masks:  # every candidate here orders the overlaps alike
+                    comb = combine(sub, candidates[group[rows[0]]])
+                    entries = [(j, masks[kj], float(comb[kj, jj]))
+                               for jj, (j, kj) in enumerate(zip(ids, k))]
+                lm = paint(w, h, entries)
+                check_labels(t, lm, gt_ids)
+                scores = score_frame(lm, gt[t], gt_ids, tolerance)
+                for p, on_path in zip(*_group_rows(path_of[rows])):
+                    child.append(((paths[p[0]][0], scores), group[rows[on_path]]))
+            stack.append((t + 1, [empty if kj < 0 else masks[kj] for kj in k], child))
     return out
-
-
-_POOL_STATE = {}
-
-
-def _pool_init(videos, objective):
-    _POOL_STATE["videos"] = videos
-    _POOL_STATE["objective"] = objective
-
-
-def _pool_eval(weights: WeightVector) -> float:
-    return _score_candidate(_POOL_STATE["videos"], weights, _POOL_STATE["objective"])
-
-
-def _score_candidate(videos, weights: WeightVector, objective: str) -> float:
-    scores = []
-    for manifest, gt_all_frames in videos:
-        res = evaluate(greedy_merge(manifest, weights).label_maps, gt_all_frames)
-        scores.append(getattr(res, objective))
-    return float(np.mean(scores))
 
 
 def random_search(videos, cfg: SearchConfig, jobs: int = 1) -> SearchResult:
     """Evaluate cfg.sample_count weight vectors on the given corpus.
 
     ``videos`` is a list of (VideoManifest, full-video GT) pairs; the GT is a
-    per-frame {object_id: Mask} list as accepted by evaluate(). Parallel and
-    serial runs produce identical results: candidates are drawn up front from
-    one seeded stream and scored independently.
+    per-frame {object_id: Mask} list as accepted by evaluate(). A candidate's
+    score is the mean over videos of evaluate()'s objective for its
+    greedy_merge. With ``jobs`` > 1 the videos are walked in that many
+    processes; results are combined in video order, so every ``jobs`` gives
+    the same result.
     """
     if not videos:
         raise TrackmergeError("random_search needs at least one video")
     candidates = _candidates(cfg)
-    if jobs > 1:
-        with ProcessPoolExecutor(
-            max_workers=jobs, initializer=_pool_init, initargs=(videos, cfg.objective)
-        ) as pool:
-            scores = list(pool.map(_pool_eval, candidates, chunksize=8))
+    # all components are active in the search, so these are the effective weights
+    weights = np.array([w.as_array() for w in candidates])
+    shared = repeat(candidates), repeat(weights), repeat(cfg.objective)
+    if jobs > 1 and len(videos) > 1:
+        with ProcessPoolExecutor(max_workers=min(jobs, len(videos))) as pool:
+            walks = list(pool.map(_walk, videos, *shared))
     else:
-        scores = [_score_candidate(videos, w, cfg.objective) for w in candidates]
+        walks = list(map(_walk, videos, *shared))
+
+    # candidates with the same leaf in every video share one mean
+    scores = [0.0] * len(candidates)
+    for leaves, members in zip(*_group_rows(np.stack([wk.leaf for wk in walks], axis=1))):
+        mean = float(np.mean([wk.scores[i] for wk, i in zip(walks, leaves)]))
+        for i in members.tolist():
+            scores[i] = mean
 
     order = sorted(range(len(candidates)), key=lambda i: (-scores[i], i))
     ranked = [(i, candidates[i], scores[i]) for i in order]
     trace = [
-        {"index": i, "weights": candidates[i].as_array().tolist(), "score": scores[i]}
-        for i in range(len(candidates))
+        {"index": i, "weights": row, "score": scores[i]}
+        for i, row in enumerate(weights.tolist())
     ]
     return SearchResult(
         ranked=ranked,
@@ -113,6 +264,8 @@ def random_search(videos, cfg: SearchConfig, jobs: int = 1) -> SearchResult:
         best_score=ranked[0][2],
         top_k_weights=[w for _, w, _ in ranked[: cfg.top_k]],
         trace=trace,
+        states=sum(wk.states for wk in walks),
+        leaves=sum(len(wk.scores) for wk in walks),
     )
 
 

@@ -4,6 +4,7 @@ explicit loops; no code is shared with the library's RLE/vectorized paths
 beyond the documented conventions (tie breaking, empty-max = 1,
 inactive-weight redistribution)."""
 
+import functools
 import math
 
 import numpy as np
@@ -13,16 +14,31 @@ def naive_round_half_away(v):
     return int(math.trunc(v + math.copysign(0.5, v)))
 
 
-def naive_warp(src_dense, flow_vectors):
-    h, w = src_dense.shape
-    out = np.zeros((h, w), dtype=bool)
-    for y in range(h):
-        for x in range(w):
-            dx, dy = flow_vectors[y, x]
+@functools.lru_cache(maxsize=16)
+def _naive_sources(height, width, dtype, flow_bytes):
+    """Per pixel of a (height, width, 2) backward flow whose rounded source
+    lies inside the image: the arrays (y, x, source y, source x)."""
+    flow = np.frombuffer(flow_bytes, dtype=dtype).reshape((height, width, 2))
+    inside = []
+    for y in range(height):
+        for x in range(width):
+            dx, dy = flow[y, x]
             sx = naive_round_half_away(x + float(dx))
             sy = naive_round_half_away(y + float(dy))
-            if 0 <= sx < w and 0 <= sy < h and src_dense[sy, sx]:
-                out[y, x] = True
+            if 0 <= sx < width and 0 <= sy < height:
+                inside.append((y, x, sy, sx))
+    return tuple(np.array(inside, dtype=np.intp).reshape(-1, 4).T)
+
+
+def naive_warp(src_dense, flow_vectors):
+    """Output pixel (y, x) takes the source pixel its flow vector points at,
+    rounded half away from zero; background where that lies outside. The
+    source coordinates are worked out once per flow field."""
+    h, w = src_dense.shape
+    vectors = np.ascontiguousarray(flow_vectors)
+    y, x, sy, sx = _naive_sources(h, w, vectors.dtype.str, vectors.tobytes())
+    out = np.zeros((h, w), dtype=bool)
+    out[y, x] = src_dense[sy, sx]
     return out
 
 

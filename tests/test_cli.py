@@ -269,6 +269,39 @@ class TestPipeline:
         assert err["error"] == "TrackmergeError" and missing in err["message"]
         assert not voted.exists()
 
+    def _two_merges_of_two_videos(self, tmp_path):
+        """Two merge trees of the same two videos; returns them and the
+        video that sorts last."""
+        manifests = []
+        for preset, seed in (("single", "0"), ("random", "3")):
+            data = tmp_path / preset
+            run("synth", "--out", str(data), "--preset", preset, "--seed", seed)
+            manifests.append(str(data / "manifest.json"))
+        trees = [tmp_path / "m0", tmp_path / "m1"]
+        assert run("merge", "--manifest", *manifests, "--out", str(trees[0])) == 0
+        assert run("merge", "--manifest", *manifests, "--weights", "1,0,0,0,0",
+                   "--out", str(trees[1])) == 0
+        return trees, max(os.listdir(trees[0]))
+
+    def test_ensemble_empty_later_video_writes_nothing(self, tmp_path, capsys):
+        trees, last = self._two_merges_of_two_videos(tmp_path)
+        for pgm in (trees[1] / last).glob("*.pgm"):
+            pgm.unlink()
+        voted = tmp_path / "v"
+        assert run("ensemble", "--inputs", *map(str, trees), "--out", str(voted)) == 1
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"] == "TrackmergeError" and "no .pgm files" in err["message"]
+        assert not voted.exists()
+
+    def test_ensemble_frame_count_mismatch_writes_nothing(self, tmp_path, capsys):
+        trees, last = self._two_merges_of_two_videos(tmp_path)
+        max((trees[1] / last).glob("*.pgm")).unlink()
+        voted = tmp_path / "v"
+        assert run("ensemble", "--inputs", *map(str, trees), "--out", str(voted)) == 1
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"] == "TrackmergeError" and "frame counts" in err["message"]
+        assert not voted.exists()
+
     def test_zero_size_pgm_is_data_error(self, tmp_path, capsys):
         data = tmp_path / "data"
         run("synth", "--out", str(data), "--preset", "single", "--seed", "0")

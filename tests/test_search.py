@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from trackmerge import search
 from trackmerge.errors import TrackmergeError
 from trackmerge.manifest import filter_manifest
 from trackmerge.scoring import WeightVector
@@ -35,6 +36,13 @@ class TestSampling:
         a = [sample_simplex(np.random.default_rng(9)).as_array() for _ in range(5)]
         b = [sample_simplex(np.random.default_rng(9)).as_array() for _ in range(5)]
         assert all(np.array_equal(x, y) for x, y in zip(a, b))
+
+    @pytest.mark.parametrize("count, seed", [(25000, 7), (2000, 0), (12, 3)])
+    def test_one_draw_matches_per_sample_draws(self, count, seed):
+        rng = np.random.default_rng(seed)
+        want = [WeightVector.equal()] + [sample_simplex(rng) for _ in range(count - 1)]
+        got = search._candidates(SearchConfig(sample_count=count, seed=seed, top_k=1))
+        assert [w.as_array().tobytes() for w in got] == [w.as_array().tobytes() for w in want]
 
     def test_marginal_means_uniform(self):
         rng = np.random.default_rng(1)

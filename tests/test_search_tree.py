@@ -1,0 +1,210 @@
+"""The prefix-shared weight search against the per-candidate definition of a
+candidate's score: greedy_merge then evaluate on every video, averaged."""
+
+import numpy as np
+import pytest
+
+from trackmerge import search
+from trackmerge.errors import TrackmergeError
+from trackmerge.flow import FlowField
+from trackmerge.manifest import GroundTruthObject, Proposal, VideoManifest, filter_manifest
+from trackmerge.mask import Mask
+from trackmerge.merging import greedy_merge
+from trackmerge.metrics import evaluate
+from trackmerge.search import SearchConfig, random_search, result_to_dict, sample_simplex
+from trackmerge.scoring import WeightVector
+from trackmerge.synth import crossing_scenario, generate, random_scenario
+
+
+def reference_scores(videos, cfg):
+    """Each candidate scored on its own, candidates drawn one at a time."""
+    rng = np.random.default_rng(cfg.seed)
+    candidates = [WeightVector.equal()]
+    candidates += [sample_simplex(rng) for _ in range(cfg.sample_count - 1)]
+    return [
+        float(np.mean([
+            getattr(evaluate(greedy_merge(m, w).label_maps, gt), cfg.objective)
+            for m, gt in videos
+        ]))
+        for w in candidates
+    ]
+
+
+def searched_scores(videos, cfg):
+    return [e["score"] for e in random_search(videos, cfg).trace]
+
+
+def video(spec):
+    result = generate(spec)
+    return filter_manifest(result.manifest), result.gt_all_frames
+
+
+def small_instance(seed):
+    """The instances of the acceptance tests."""
+    return video(
+        random_scenario(seed, max_frames=6, max_objects=3, max_distractors=2, spurious_rate=0.0)
+    )
+
+
+def rect(x0, y0, x1, y1, width=16, height=10):
+    grid = np.zeros((height, width), dtype=bool)
+    grid[y0:y1, x0:x1] = True
+    return Mask.from_dense(grid)
+
+
+def tie_instance():
+    """Two tracks whose sub-scores tie exactly, listed with the higher object
+    id first. Both start from the same mask with the same embedding, so every
+    proposal scores the same for both, and they select and paint the same
+    proposal: the lower id must win its pixels. At frame 2 two distractors
+    tie within each track, and the lower index must be selected."""
+    a, b = rect(6, 3, 10, 7), rect(6, 3, 9, 6)
+    left, right = rect(0, 0, 3, 3), rect(13, 7, 16, 10)
+    e, d = np.eye(4)[0], np.eye(4)[1]
+
+    def proposal(t, m, objectness, emb):
+        return Proposal(t, m, m.bbox(), objectness, emb)
+
+    frames = [
+        [],
+        [proposal(1, a, 0.9, e), proposal(1, left, 0.5, d), proposal(1, right, 0.5, d)],
+        [proposal(2, left, 0.5, d), proposal(2, right, 0.5, d)],
+    ]
+    gt = [GroundTruthObject(j, a, a.bbox(), e) for j in (5, 2)]
+    manifest = VideoManifest(
+        video_id="tie", width=16, height=10, frame_count=3, embedding_dim=4,
+        proposals=frames, ground_truth=gt, flow_paths=["f1", "f2"],
+        preloaded_flows=[FlowField.zero(16, 10)] * 2,
+    )
+    gt_all_frames = [{5: a, 2: a}, {5: a, 2: b}, {5: right, 2: left}]
+    return manifest, gt_all_frames
+
+
+def order_instance(objectness=0.9):
+    """Two tracks whose frame-1 selections overlap; which one is painted on
+    top of the shared pixels depends on the weights: ``objectness`` favors
+    track 2, mask propagation and its inverse favor track 1."""
+    e = np.eye(4)
+    frames = [
+        [],
+        [Proposal(1, m, m.bbox(), o, emb) for m, o, emb in (
+            (rect(2, 2, 9, 8), 0.5, e[0]), (rect(6, 2, 12, 8), objectness, e[1]),
+        )],
+    ]
+    first = [rect(2, 2, 8, 8), rect(8, 2, 14, 8)]
+    manifest = VideoManifest(
+        video_id="order", width=16, height=10, frame_count=2, embedding_dim=4,
+        proposals=frames,
+        ground_truth=[GroundTruthObject(j, m, m.bbox(), e[j - 1]) for j, m in zip((1, 2), first)],
+        flow_paths=["f1"], preloaded_flows=[FlowField.zero(16, 10)],
+    )
+    gt_all_frames = [dict(zip((1, 2), first)), {1: frames[1][0].mask, 2: frames[1][1].mask}]
+    return manifest, gt_all_frames
+
+
+CORPORA = {
+    "crossing": (lambda: [video(crossing_scenario(0))], 300),
+    "random_3": (lambda: [video(random_scenario(3))], 150),
+    "random_5": (lambda: [video(random_scenario(5))], 150),
+    "random_8": (lambda: [video(random_scenario(8))], 150),
+    "small_0_5": (lambda: [small_instance(s) for s in range(6)], 60),
+    "tie": (lambda: [tie_instance()], 100),
+    "order": (lambda: [order_instance()], 100),
+    # the selected sub-scores of the two tracks sum to the same real number
+    # (1/2 + 6/7 + 11/12 on one side), so equal weights tie them up to rounding
+    "near_tie": (lambda: [order_instance(0.5 + 6 / 7 + 11 / 12 - 1.3)], 100),
+}
+
+
+class TestScoresEqualPerCandidate:
+    @pytest.mark.parametrize("name", sorted(CORPORA))
+    def test_scores_equal(self, name):
+        make, count = CORPORA[name]
+        videos = make()
+        cfg = SearchConfig(sample_count=count, seed=7, top_k=3)
+        assert searched_scores(videos, cfg) == reference_scores(videos, cfg)
+
+    @pytest.mark.parametrize("objective", ["j_mean", "f_mean"])
+    def test_other_objectives(self, objective):
+        videos = [small_instance(s) for s in range(2)]
+        cfg = SearchConfig(sample_count=40, seed=1, top_k=2, objective=objective)
+        assert searched_scores(videos, cfg) == reference_scores(videos, cfg)
+
+    def test_tie_rules(self):
+        manifest, gt = tie_instance()
+        ts = greedy_merge(manifest)
+        assert ts.selections == {5: [None, 0, 0], 2: [None, 0, 0]}
+        assert set(np.unique(ts.label_maps[1].labels)) == {0, 2}
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    @pytest.mark.parametrize("name", ["crossing", "random_5", "small_0_5", "tie", "near_tie"])
+    def test_products_off_by_less_than_the_guard(self, name, sign, monkeypatch):
+        # the matrix product may round differently on another BLAS; any
+        # error below TIE must leave every score unchanged. The error here
+        # is random, plus a shift that lifts even tracks and lowers odd ones
+        # (or the reverse), so near ties between tracks go both ways
+        exact = search._approx_scores
+        rng = np.random.default_rng(0)
+
+        def perturbed(weights, sub):
+            scores = exact(weights, sub)
+            shift = sign * (-1) ** np.arange(scores.shape[2])
+            return scores + (rng.uniform(-0.2, 0.2, scores.shape) + 0.2 * shift) * search.TIE
+
+        make, count = CORPORA[name]
+        videos = make()
+        cfg = SearchConfig(sample_count=count, seed=7, top_k=3)
+        want = reference_scores(videos, cfg)
+        monkeypatch.setattr(search, "_approx_scores", perturbed)
+        assert searched_scores(videos, cfg) == want
+
+
+class TestSharing:
+    def test_paint_order_splits_leaves(self):
+        videos = [order_instance()]
+        cfg = SearchConfig(sample_count=100, seed=7, top_k=3)
+        assert len(set(reference_scores(videos, cfg))) > 1
+        assert random_search(videos, cfg).leaves > 1
+
+    def test_crossing_states_and_leaves(self):
+        res = random_search([video(crossing_scenario(0))], SearchConfig(sample_count=2000))
+        assert (res.states, res.leaves) == (17, 2)
+
+    def test_counts_stay_out_of_the_file(self):
+        res = random_search([small_instance(0)], SearchConfig(sample_count=5, top_k=2))
+        assert set(result_to_dict(res)) == {"best", "ranked", "top_k", "trace"}
+
+
+class TestSameErrors:
+    """The search raises TrackmergeError wherever scoring each candidate on
+    its own does."""
+
+    def check(self, videos):
+        cfg = SearchConfig(sample_count=3, top_k=1)
+        with pytest.raises(TrackmergeError):
+            reference_scores(videos, cfg)
+        with pytest.raises(TrackmergeError):
+            random_search(videos, cfg)
+
+    def test_frame_count_mismatch(self):
+        manifest, gt = small_instance(0)
+        self.check([(manifest, gt[:-1])])
+
+    def test_fewer_than_two_frames(self):
+        manifest, gt = tie_instance()
+        one = VideoManifest(
+            video_id="one", width=16, height=10, frame_count=1, embedding_dim=4,
+            proposals=manifest.proposals[:1], ground_truth=manifest.ground_truth,
+            flow_paths=[], preloaded_flows=[],
+        )
+        self.check([(one, gt[:1])])
+
+    def test_manifest_ids_missing_from_gt(self):
+        manifest, gt = small_instance(1)
+        dropped = manifest.object_ids[0]
+        self.check([(manifest, [{j: m for j, m in g.items() if j != dropped} for g in gt])])
+
+    def test_bad_later_video(self):
+        good = small_instance(0)
+        manifest, gt = small_instance(1)
+        self.check([good, (manifest, gt[:-1])])

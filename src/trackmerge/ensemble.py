@@ -28,13 +28,15 @@ def majority_vote(results) -> list:
             if lm.width != w or lm.height != h:
                 raise TrackmergeError("ensemble inputs have different dimensions")
 
+    count_type = np.min_scalar_type(len(results))  # holds any vote count
     out = []
     for t in range(frame_count):
-        stack = np.stack([r[t].labels for r in results])  # (n, h, w)
-        top = int(stack.max())
-        counts = np.zeros((top + 1, h, w), dtype=np.int32)
-        for label in range(top + 1):
-            counts[label] = (stack == label).sum(axis=0)
-        # argmax returns the first (smallest) label among tied leaders
-        out.append(LabelMap(w, h, counts.argmax(axis=0)))
+        maps = [r[t].labels for r in results]
+        present = np.flatnonzero(sum(np.bincount(m.ravel(), minlength=256) for m in maps))
+        best = best_count = np.zeros((h, w), dtype=count_type)
+        for label in present.tolist():  # ascending: with ">" below, ties keep the smaller
+            count = sum((m == label for m in maps), np.zeros((h, w), count_type))
+            best = np.where(count > best_count, label, best)
+            best_count = np.maximum(count, best_count)
+        out.append(LabelMap(w, h, best))
     return out

@@ -77,22 +77,35 @@ def save_flo(field: FlowField, path):
         f.write(np.ascontiguousarray(field.vectors, dtype="<f4").tobytes())
 
 
-def source_index(backward_flow: FlowField) -> np.ndarray:
-    """For each pixel of frame t in column-major order, the column-major flat
-    index of its source pixel in frame t-1: (x + dx, y + dy) rounded half away
-    from zero, or height * width when that lies outside the image."""
+def source_pairs(backward_flow: FlowField) -> tuple[np.ndarray, np.ndarray]:
+    """(dest, src): the pixels of frame t whose backward-flow sample lies
+    inside the image, as ascending column-major flat indices, and the
+    column-major flat index of each one's source pixel in frame t-1.
+
+    A sample s = x + dx rounds half away from zero, so it lies inside an
+    axis of n pixels iff -0.5 < s < n - 0.5, and there it rounds to
+    floor(s + 0.5) = x + (floor(2 dx) + 1) // 2. float32 computes both
+    exactly for sides under 2**23. Indices are int32 below 2**31 pixels.
+    """
     h, w = backward_flow.height, backward_flow.width
-    v = backward_flow.vectors.transpose(1, 0, 2)  # (w, h, 2): column-major
-    sx = v[:, :, 0] + np.arange(w, dtype=np.float64)[:, None]
-    sy = v[:, :, 1] + np.arange(h, dtype=np.float64)
-    for c in (sx, sy):  # trunc(c + copysign(0.5, c)), in place
-        c += np.copysign(0.5, c)
-        np.trunc(c, out=c)
-    outside = (sx < 0) | (sx >= w) | (sy < 0) | (sy >= h)
-    sx *= h
-    sx += sy
-    sx[outside] = h * w
-    return sx.astype(np.intp).ravel()
+    index = np.int32 if h * w < 2**31 else np.intp
+    # one column-major copy per component makes every later pass contiguous
+    dx, dy = (np.ascontiguousarray(backward_flow.vectors[..., c].T) for c in (0, 1))
+    x = np.arange(w, dtype=np.float32)[:, None]
+    y = np.arange(h, dtype=np.float32)
+    inside = (dx > -0.5 - x) & (dx < w - 0.5 - x) & (dy > -0.5 - y) & (dy < h - 0.5 - y)
+    dest = np.flatnonzero(inside).astype(index)
+
+    def rounded(d):  # in place, sparing full-frame temporaries
+        q = np.floor(2 * d[inside]).astype(index)
+        q += 1
+        q >>= 1
+        return q
+
+    src = rounded(dx) * h
+    src += rounded(dy)
+    src += dest
+    return dest, src
 
 
 def warp_mask(m: Mask, backward_flow: FlowField) -> Mask:
@@ -107,5 +120,7 @@ def warp_mask(m: Mask, backward_flow: FlowField) -> Mask:
             f"mask {m.width}x{m.height} does not match flow "
             f"{backward_flow.width}x{backward_flow.height}"
         )
-    out = column_major(m)[source_index(backward_flow)]
+    dest, src = source_pairs(backward_flow)
+    out = np.zeros(m.height * m.width, dtype=bool)
+    out[dest] = column_major(m)[src]
     return Mask.from_dense(out.reshape((m.height, m.width), order="F"))

@@ -10,7 +10,7 @@ import re
 import numpy as np
 
 from .errors import TrackmergeError
-from .mask import Mask
+from .mask import Mask, foreground
 
 
 class LabelMap:
@@ -29,7 +29,7 @@ class LabelMap:
             )
         if arr.min() < 0 or arr.max() > 255:
             raise TrackmergeError("labels must lie in [0, 255]")
-        arr = arr.astype(np.uint8)
+        arr = arr.astype(np.uint8, order="C")
         arr.setflags(write=False)
         object.__setattr__(self, "width", int(width))
         object.__setattr__(self, "height", int(height))
@@ -62,10 +62,10 @@ def paint(width, height, entries) -> LabelMap:
     """entries: (object_id, mask, priority) triples. Overlapping pixels go to
     the highest priority, ties to the lowest object_id."""
     order = sorted(entries, key=lambda e: (-e[2], e[0]))
-    labels = np.zeros((height, width), dtype=np.uint8)
+    flat = np.zeros(width * height, dtype=np.uint8)  # column-major, as masks are
     for object_id, m, _ in reversed(order):
-        labels[m.dense()] = object_id
-    return LabelMap(width, height, labels)
+        flat[foreground(m)] = object_id
+    return LabelMap(width, height, flat.reshape((height, width), order="F"))
 
 
 def write_pgm(lm: LabelMap, path):

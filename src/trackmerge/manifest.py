@@ -12,7 +12,7 @@ import numpy as np
 
 from .errors import ManifestError, TrackmergeError
 from .flow import FlowField, load_flo
-from .mask import BBox, Mask, check_same_shape, foreground_span, ious, run_table
+from .mask import BBox, Mask, check_same_shape, foreground, ious, run_table
 
 
 @dataclass(frozen=True, eq=False)
@@ -316,10 +316,8 @@ def filter_proposals(frame_proposals, score_min: float = 0.05, nms_iou: float = 
     for i, (_, p) in enumerate(candidates):
         if alive[i]:
             kept.append(p)
-            # the exact integer IoU of mask.iou, with every candidate at once,
-            # summed over the kept mask's span only
-            start, grid = foreground_span(p.mask)
-            alive &= ious(table.window(start, grid.size), grid) < nms_iou
+            # the exact integer IoU of mask.iou, with every candidate at once
+            alive &= ious(table, foreground(p.mask)) < nms_iou
     return kept
 
 

@@ -104,8 +104,7 @@ class Mask:
     def dense(self) -> np.ndarray:
         """Decode to a dense (height, width) boolean grid (cached)."""
         if self._dense is None:
-            flat = column_major(self)[:-1]
-            grid = flat.reshape((self.height, self.width), order="F")
+            grid = column_major(self).reshape((self.height, self.width), order="F")
             grid.setflags(write=False)
             object.__setattr__(self, "_dense", grid)
         return self._dense
@@ -169,28 +168,23 @@ def iou(a: Mask, b: Mask, empty_empty: float = 0.0) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Overlap kernel. It scores many masks of one frame against one other grid
-# given in column-major order: one prefix sum of that grid, then per mask a
-# difference of the sum at the ends of each of its foreground runs.
+# Overlap kernel. It scores many masks of one frame against one other mask
+# given as the ascending column-major indices of its foreground pixels: a
+# mask's overlap is, summed over its foreground runs [start, end), how many
+# of those indices each run holds, which two binary searches count.
 
 
 def column_major(m: Mask) -> np.ndarray:
-    """The mask's pixels in column-major order, followed by one background
-    pixel that out-of-image samples point at (see flow.source_index)."""
-    values = np.arange(len(m.runs) + 1) % 2 == 1
-    values[-1] = False
-    return np.repeat(values, m.runs + (1,))
+    """The mask's pixels as a boolean array in column-major order."""
+    return np.repeat(np.arange(len(m.runs)) % 2 == 1, m.runs)
 
 
-def foreground_span(m: Mask):
-    """(start, grid): the mask's pixels in column-major order from its first
-    foreground pixel through its last, and the offset of the first. An empty
-    mask gives (0, an empty grid)."""
-    runs = m.runs
-    stop = len(runs) - len(runs) % 2  # runs[1:stop] ends with a foreground run
-    if stop < 2:
-        return 0, np.zeros(0, dtype=bool)
-    return runs[0], np.repeat(np.arange(1, stop) % 2 == 1, runs[1:stop])
+def foreground(m: Mask) -> np.ndarray:
+    """Ascending column-major flat indices of the mask's foreground pixels."""
+    table = run_table([m])
+    lengths = table.ends - table.starts
+    # the k-th foreground pixel, in run i, is pixel k + ends[i] - cumsum(lengths)[i]
+    return np.arange(table.areas[0]) + np.repeat(table.ends - np.cumsum(lengths), lengths)
 
 
 class RunTable(NamedTuple):
@@ -201,15 +195,6 @@ class RunTable(NamedTuple):
     ends: np.ndarray
     first: np.ndarray
     areas: np.ndarray
-
-    def window(self, start: int, size: int) -> "RunTable":
-        """The runs cut to column-major pixels [start, start + size) and
-        offset from start, for ious against a grid that covers only those
-        pixels of a mask (background elsewhere); areas stay whole."""
-        return self._replace(
-            starts=np.clip(self.starts - start, 0, size),
-            ends=np.clip(self.ends - start, 0, size),
-        )
 
 
 def run_table(masks) -> RunTable:
@@ -225,15 +210,14 @@ def run_table(masks) -> RunTable:
     )
 
 
-def ious(table: RunTable, grid: np.ndarray) -> np.ndarray:
-    """IoU of every mask in the table with a column-major boolean grid,
-    0 where both are empty. Exact integer counts, so each value equals
-    iou(mask, other, empty_empty=0.0)."""
-    cum = np.zeros(grid.size + 1, dtype=np.int64)
-    np.cumsum(grid, out=cum[1:])
-    per_run = np.concatenate(([0], np.cumsum(cum[table.ends] - cum[table.starts])))
-    inter = per_run[table.first[1:]] - per_run[table.first[:-1]]
-    union = table.areas + cum[-1] - inter
+def ious(table: RunTable, fg: np.ndarray) -> np.ndarray:
+    """IoU of every mask in the table with the mask whose foreground is
+    ``fg``, as foreground gives it; 0 where both are empty. Exact integer
+    counts, so each value equals iou(mask, other, empty_empty=0.0)."""
+    per_run = np.searchsorted(fg, table.ends) - np.searchsorted(fg, table.starts)
+    cum = np.concatenate(([0], np.cumsum(per_run)))
+    inter = cum[table.first[1:]] - cum[table.first[:-1]]
+    union = table.areas + len(fg) - inter
     out = np.zeros(len(inter))
     np.divide(inter, union, out=out, where=union > 0)
     return out

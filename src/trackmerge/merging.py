@@ -11,10 +11,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import TrackmergeError
-from .flow import source_index
+from .flow import source_pairs
 from .labelmap import paint, write_frames
 from .manifest import VideoManifest
-from .mask import Mask, column_major, ious, run_table
+from .mask import Mask, column_major, foreground, ious, run_table
 from .scoring import (
     COMPONENTS,
     WeightVector,
@@ -93,10 +93,10 @@ class SubScorer:
     weight search: ``scorer(t, previous)`` is the (n, J, 5) sub-score tensor
     of frame t's n proposals given each track's mask at frame t-1.
 
-    Frame t's run table and flow source map depend only on t. With ``keep``
-    set they are built once and kept, for callers that score a frame under
-    many track states; otherwise they are built on each call, so one pass
-    over the video holds one frame's worth at a time.
+    Frame t's run table and flow source pairs depend only on t. With
+    ``keep`` set they are built once and kept, for callers that score a
+    frame under many track states; otherwise they are built on each call, so
+    one pass over the video holds one frame's worth at a time.
     """
 
     def __init__(self, manifest: VideoManifest, keep=False):
@@ -108,18 +108,19 @@ class SubScorer:
         self._kept = {} if keep else None
 
     def frame(self, t):
-        """(run table of frame t's proposals, source_index of its flow)."""
+        """(run table of frame t's proposals, source_pairs of its flow)."""
         if self._kept is not None and t in self._kept:
             return self._kept[t]
         table = run_table([p.mask for p in self.manifest.proposals[t]])
-        source = source_index(self.manifest.flow(t))  # shared by all tracks
+        pairs = source_pairs(self.manifest.flow(t))  # shared by all tracks
         if self._kept is not None:
-            self._kept[t] = table, source
-        return table, source
+            self._kept[t] = table, pairs
+        return table, pairs
 
     def __call__(self, t, previous) -> np.ndarray:
-        table, source = self.frame(t)
-        prop = np.stack([ious(table, column_major(m)[source]) for m in previous], axis=1)
+        table, (dest, src) = self.frame(t)
+        # each track's previous mask warped along the flow, as foreground indices
+        prop = np.stack([ious(table, dest[column_major(m)[src]]) for m in previous], axis=1)
         objectness = [p.objectness for p in self.manifest.proposals[t]]
         return frame_subscores(objectness, self.distances[t], self.max_dist, prop)
 
@@ -166,7 +167,7 @@ def oracle_merge(manifest: VideoManifest, gt_all_frames) -> TrackSet:
 
     def score_frame(t, proposals, previous):
         table = run_table([p.mask for p in proposals])
-        scores = np.stack([ious(table, column_major(gt_all_frames[t][j])) for j in ids], axis=1)
+        scores = np.stack([ious(table, foreground(gt_all_frames[t][j])) for j in ids], axis=1)
         return scores, lambda k, jj: {"iou": float(scores[k, jj])}
 
     return _select(manifest, ("iou",), score_frame)

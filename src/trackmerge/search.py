@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import TrackmergeError
 from .labelmap import paint
-from .mask import Mask
+from .mask import Mask, foreground, ious, run_table
 from .merging import SubScorer
 from .metrics import check_labels, default_boundary_tolerance, score_frame, summarize
 from .scoring import WeightVector, combine
@@ -141,8 +141,8 @@ def _decide(sub, weights, candidates, group, ids, masks):
         order = []  # per overlapping pair of tracks: is the first on top?
         for a in range(tracks):
             for b in range(a + 1, tracks):
-                if not np.any(masks[k[a]].dense() & masks[k[b]].dense()):
-                    continue
+                if ious(run_table([masks[k[a]]]), foreground(masks[k[b]]))[0] == 0:
+                    continue  # no shared pixel
                 if np.array_equal(sub[k[a], a], sub[k[b], b]):
                     continue  # an exact tie for every candidate
                 close = ~exact[rows] & (np.abs(top[rows, a] - top[rows, b]) < TIE)

@@ -76,3 +76,21 @@ class TestVote:
                 assert np.array_equal(
                     voted[t].labels[agree], stack[0][agree]
                 )  # unanimity per pixel
+
+    def test_sparse_high_ids_against_per_pixel_mode(self):
+        # ids {1, 255} plus background; even input counts make many ties
+        rng = np.random.default_rng(4)
+        for n in (2, 3, 4, 6):
+            results = [random_result(rng, frames=2, w=7, h=4, labels=(0, 1, 255)) for _ in range(n)]
+            voted = majority_vote(results)
+            for t in range(2):
+                for y in range(4):
+                    for x in range(7):
+                        votes = [int(r[t].labels[y, x]) for r in results]
+                        # the most votes; among tied leaders, the smallest label
+                        mode = min(set(votes), key=lambda v: (-votes.count(v), v))
+                        assert voted[t].labels[y, x] == mode, (n, t, y, x, votes)
+        assert majority_vote([[lm([[1, 255]])], [lm([[255, 1]])]])[0].labels.tolist() == [[1, 1]]
+        # more than 255 votes for one label
+        many = [[lm([[1]])]] * 260 + [[lm([[2]])]] * 40
+        assert majority_vote(many)[0].labels.tolist() == [[1]]

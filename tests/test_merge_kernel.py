@@ -1,22 +1,30 @@
-"""The merge frame kernel: the per-frame flow source map and the prefix-sum
-overlap of many proposals with one grid, checked for exact equality against
-the pixel-by-pixel naive reference."""
+"""The merge frame kernel: the per-frame flow source pairs and the
+sorted-index overlap of many proposals with one mask, checked for exact
+equality against the pixel-by-pixel naive reference."""
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from naive_reference import naive_iou, naive_round_half_away, naive_warp
-from trackmerge.flow import FlowField, source_index, warp_mask
-from trackmerge.mask import Mask, column_major, iou, ious, run_table
+from trackmerge.flow import FlowField, source_pairs, warp_mask
+from trackmerge.mask import Mask, column_major, foreground, iou, ious, run_table
 
 KERNEL = settings(max_examples=300, deadline=None, derandomize=True)
 
-# exact half steps round away from zero; the large ones leave the image
-COMPONENTS = st.one_of(
-    st.sampled_from([0.0, -0.0, 0.5, -0.5, 1.5, -1.5, 2.5, -2.5, -1.0, 3.0, -20.0, 20.0, 1e6]),
-    st.floats(-12, 12, width=32),
-)
+# exact half steps round away from zero; the large ones leave the image.
+# 0.49999997 is the largest float32 below 0.5, and 3.4e38 is near the
+# float32 maximum.
+EDGES = [0.0, -0.0, 0.5, -0.5, 1.5, -1.5, 2.5, -2.5, -1.0, 3.0, -20.0, 20.0, 1e6,
+         0.49999997, -0.49999997, 3.4e38, -3.4e38]
+assert np.float32(0.49999997) == np.nextafter(np.float32(0.5), np.float32(0))
+
+
+def components(shape):
+    """Flow components for an image of this shape, with the out-of-image
+    value the synthetic scenarios use, 2 * (w + h)."""
+    h, w = shape
+    return st.one_of(st.sampled_from(EDGES + [2.0 * (w + h)]), st.floats(-12, 12, width=32))
 
 
 @st.composite
@@ -45,10 +53,11 @@ def flows(draw, shape):
     mode = draw(st.sampled_from(["uniform", "per_pixel"]))
     if mode == "uniform":
         vec = np.empty((h, w, 2), np.float32)
-        vec[:, :, 0] = draw(COMPONENTS)
-        vec[:, :, 1] = draw(COMPONENTS)
+        vec[:, :, 0] = draw(components(shape))
+        vec[:, :, 1] = draw(components(shape))
     else:
-        values = draw(st.lists(COMPONENTS, min_size=2 * h * w, max_size=2 * h * w))
+        count = 2 * h * w
+        values = draw(st.lists(components(shape), min_size=count, max_size=count))
         vec = np.array(values, np.float32).reshape(h, w, 2)
     return FlowField(w, h, vec)
 
@@ -72,12 +81,24 @@ def naive_source_index(vectors):
     return out
 
 
-class TestSourceIndex:
+def pairs_as_map(flow):
+    """source_pairs expanded to naive_source_index's form, after checking
+    that the destinations ascend."""
+    dest, src = source_pairs(flow)
+    assert dest.dtype == src.dtype == np.int32
+    assert (np.diff(dest) > 0).all()
+    size = flow.height * flow.width
+    full = np.full(size, size, dtype=np.intp)
+    full[dest] = src
+    return full.tolist()
+
+
+class TestSourcePairs:
     @KERNEL
     @given(scenes)
-    def test_source_index_and_warp(self, scene):
+    def test_source_pairs_and_warp(self, scene):
         previous, _, flow = scene
-        assert source_index(flow).tolist() == naive_source_index(flow.vectors)
+        assert pairs_as_map(flow) == naive_source_index(flow.vectors)
         warped = warp_mask(Mask.from_dense(previous), flow)
         assert np.array_equal(warped.dense(), naive_warp(previous, flow.vectors))
 
@@ -86,7 +107,18 @@ class TestSourceIndex:
         # from zero to -1, 2, 2, 4; -1 and 4 lie outside
         vec = np.zeros((1, 4, 2), np.float32)
         vec[0, :, 0] = [-0.5, 0.5, -0.5, 0.5]
-        assert source_index(FlowField(4, 1, vec)).tolist() == [4, 2, 2, 4]
+        assert pairs_as_map(FlowField(4, 1, vec)) == [4, 2, 2, 4]
+        dest, src = source_pairs(FlowField(4, 1, vec))
+        assert dest.tolist() == [1, 2] and src.tolist() == [2, 2]
+
+    def test_one_pixel_image(self):
+        values = EDGES + [4.0, 0.25, -0.25]  # 4.0 = 2 * (w + h)
+        for dx in values:
+            for dy in values:
+                flow = FlowField(1, 1, np.array([[[dx, dy]]], np.float32))
+                assert pairs_as_map(flow) == naive_source_index(flow.vectors), (dx, dy)
+                warped = warp_mask(Mask.full(1, 1), flow).dense()
+                assert np.array_equal(warped, naive_warp(np.ones((1, 1), bool), flow.vectors))
 
 
 class TestOverlap:
@@ -97,16 +129,24 @@ class TestOverlap:
         masks = [Mask.from_dense(g) for g in proposals]
         table = run_table(masks)
         warped = naive_warp(previous, flow.vectors)
-        got = ious(table, column_major(Mask.from_dense(previous))[source_index(flow)])
+        dest, src = source_pairs(flow)
+        got = ious(table, dest[column_major(Mask.from_dense(previous))[src]])
         assert got.tolist() == [naive_iou(g, warped) for g in proposals]
-        plain = ious(table, column_major(Mask.from_dense(previous)))
+        plain = ious(table, foreground(Mask.from_dense(previous)))
         assert plain.tolist() == [naive_iou(g, previous) for g in proposals]
         assert plain.tolist() == [iou(m, Mask.from_dense(previous)) for m in masks]
+
+    @KERNEL
+    @given(shapes.flatmap(grids))
+    def test_foreground_indices(self, g):
+        m = Mask.from_dense(g)
+        assert foreground(m).tolist() == np.flatnonzero(column_major(m)).tolist()
+        assert foreground(m).tolist() == np.flatnonzero(g.flatten(order="F")).tolist()
 
     def test_empty_against_empty_is_zero(self):
         empty = Mask.empty(3, 2)
         table = run_table([empty, Mask.full(3, 2)])
-        assert ious(table, column_major(empty)).tolist() == [0.0, 0.0]
+        assert ious(table, foreground(empty)).tolist() == [0.0, 0.0]
 
     def test_run_table_offsets(self):
         # column-major 2x3 grid: foreground at flat offsets 1-2 and 5
@@ -116,6 +156,7 @@ class TestOverlap:
         assert table.ends.tolist() == [3, 6]
         assert table.first.tolist() == [0, 0, 2]
         assert table.areas.tolist() == [0, 3]
+        assert foreground(m).tolist() == [1, 2, 5]
 
 
 class TestBBox:

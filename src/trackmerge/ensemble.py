@@ -32,11 +32,18 @@ def majority_vote(results) -> list:
     out = []
     for t in range(frame_count):
         maps = [r[t].labels for r in results]
-        present = np.flatnonzero(sum(np.bincount(m.ravel(), minlength=256) for m in maps))
-        best = best_count = np.zeros((h, w), dtype=count_type)
-        for label in present.tolist():  # ascending: with ">" below, ties keep the smaller
-            count = sum((m == label for m in maps), np.zeros((h, w), count_type))
-            best = np.where(count > best_count, label, best)
-            best_count = np.maximum(count, best_count)
-        out.append(LabelMap(w, h, best))
+        differ = np.zeros((h, w), dtype=bool)
+        for m in maps[1:]:
+            differ |= m != maps[0]
+        voted = maps[0].copy()  # where all inputs agree, their label wins
+        if differ.any():
+            votes = [m[differ] for m in maps]
+            present = np.flatnonzero(sum(np.bincount(v, minlength=256) for v in votes))
+            best = best_count = np.zeros(len(votes[0]), dtype=count_type)
+            for label in present.tolist():  # ascending: with ">" below, ties keep the smaller
+                count = sum((v == label for v in votes), np.zeros(len(votes[0]), count_type))
+                best = np.where(count > best_count, label, best)
+                best_count = np.maximum(count, best_count)
+            voted[differ] = best
+        out.append(LabelMap(w, h, voted))
     return out

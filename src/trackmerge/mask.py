@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy import ndimage
 
 from .errors import MaskError
 
@@ -224,10 +223,10 @@ def ious(table: RunTable, fg: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Boundary and dilation kernel. It works on a Patch: a dense boolean grid
-# placed at (y0, x0) in an image whose pixels outside the patch are all
-# background. Cropping to the foreground's bounding box keeps the cost in
-# proportion to the object, not the frame.
+# Boundary and dilation kernel, in numpy alone. It works on a Patch: a dense
+# boolean grid placed at (y0, x0) in an image whose pixels outside the patch
+# are all background. Cropping to the foreground's bounding box keeps the
+# cost in proportion to the object, not the frame.
 
 
 class Patch(NamedTuple):
@@ -271,20 +270,44 @@ def boundary_patch(grid) -> Patch | None:
 
 def dilate_patch(p: Patch, radius: float, height: int, width: int) -> Patch:
     """Dilation by the Euclidean disk dx^2 + dy^2 <= radius^2 in a
-    (height, width) image, computed on the box grown by floor(radius) and
-    clipped to the image. Offsets longer than the image cannot join two of
-    its pixels, so the disk is cut to the image's larger side."""
+    (height, width) image, on the box grown by k = floor(radius) and clipped
+    to the image. Offsets longer than the image cannot join two of its
+    pixels, so the disk is cut to the image's larger side.
+
+    The disk is one row segment |dx| <= a(dy) per row offset dy in [-k, k].
+    Each source row's horizontal dilation by a comes from two slices of its
+    prefix sum, once per distinct a, and is ORed into the box shifted by dy.
+    """
     k = math.floor(min(radius, max(height, width) - 1))
     if k == 0:
         return p
     h, w = p.grid.shape
     y0, x0 = max(p.y0 - k, 0), max(p.x0 - k, 0)
     y1, x1 = min(p.y0 + h + k, height), min(p.x0 + w + k, width)
-    canvas = np.zeros((y1 - y0, x1 - x0), dtype=bool)
-    canvas[p.y0 - y0 : p.y0 - y0 + h, p.x0 - x0 : p.x0 - x0 + w] = p.grid
-    yy, xx = np.mgrid[-k : k + 1, -k : k + 1]
-    footprint = yy * yy + xx * xx <= radius * radius
-    return Patch(y0, x0, ndimage.binary_dilation(canvas, structure=footprint))
+    # the row offsets dy >= 0 of each half-width a(dy), by the footprint's
+    # test dx^2 + dy^2 <= radius^2 on integer offsets; a falls as dy grows
+    r2, a, rows_of = radius * radius, k, {}
+    for dy in range(k + 1):
+        while a >= 0 and dy * dy + a * a > r2:
+            a -= 1
+        if a >= 0:
+            rows_of.setdefault(a, []).append(dy)
+    # prefix[:, j] counts each row's sources left of padded column j; the
+    # source sits at padded columns [2k, 2k + w), box column c at c + c0
+    prefix = np.empty((h, w + 4 * k + 1), dtype=np.int32)
+    prefix[:, : 2 * k + 1] = 0
+    np.cumsum(p.grid, axis=1, dtype=np.int32, out=prefix[:, 2 * k + 1 : 2 * k + 1 + w])
+    prefix[:, 2 * k + 1 + w :] = prefix[:, 2 * k + w : 2 * k + w + 1]
+    c0, box_h, box_w = x0 - p.x0 + 2 * k, y1 - y0, x1 - x0
+    out = np.zeros((box_h, box_w), dtype=bool)
+    for a, offsets in rows_of.items():
+        row = prefix[:, c0 + a + 1 : c0 + a + 1 + box_w] != prefix[:, c0 - a : c0 - a + box_w]
+        for shift in {sign * dy for dy in offsets for sign in (1, -1)}:
+            top = p.y0 + shift - y0  # box row of source row 0
+            i0, i1 = max(0, -top), min(h, box_h - top)
+            if i0 < i1:
+                out[i0 + top : i1 + top] |= row[i0:i1]
+    return Patch(y0, x0, out)
 
 
 def count_inside(points: Patch, zone: Patch) -> int:

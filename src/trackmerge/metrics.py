@@ -16,9 +16,11 @@ diagonal) pixels. They differ in the boundary and in the matching:
 
 Compare F between runs of this package, not with published DAVIS numbers.
 
-J and F are computed on dense boolean grids: J by pixel counts over the
-frame, F by the bounding-box-cropped boundary and dilation kernel in
-``mask``.
+J and F are computed on dense boolean grids with numpy alone: J by pixel
+counts over the frame, F by the bounding-box-cropped boundary and
+row-segment disk dilation kernel in ``mask``. A GT frame's boundaries and
+their dilations are prepared once (``prepare_frame``) and shared by every
+label map scored against that frame.
 """
 
 from __future__ import annotations
@@ -27,11 +29,12 @@ import csv
 import json
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import TrackmergeError
-from .mask import Mask, boundary_patch, check_same_shape, count_inside, dilate_patch
+from .mask import Mask, Patch, boundary_patch, check_same_shape, count_inside, dilate_patch
 
 
 def default_boundary_tolerance(width, height) -> int:
@@ -51,7 +54,7 @@ def f_measure(pred: Mask, gt: Mask, tolerance: float) -> float:
     of the other mask's boundary (dilated-boundary approximation)."""
     _check_tolerance(tolerance)
     check_same_shape(pred, gt)
-    return _boundary_similarity(pred.dense(), gt.dense(), tolerance)
+    return _boundary_similarity(pred.dense(), _prepare(0, gt, tolerance), tolerance)
 
 
 def _check_tolerance(tolerance):
@@ -66,15 +69,38 @@ def _region_similarity(pred, gt) -> float:
     return inter / union if union else 1.0
 
 
-def _boundary_similarity(pred, gt, tolerance) -> float:
-    """F of two same-shape dense boolean grids."""
-    pb, gb = boundary_patch(pred), boundary_patch(gt)
+class GTObject(NamedTuple):
+    """One object's GT in one frame, prepared for scoring label maps."""
+
+    object_id: int
+    mask: Mask
+    dense: np.ndarray
+    boundary: Patch | None
+    zone: Patch | None  # the boundary dilated by the tolerance
+
+
+def _prepare(object_id, gt: Mask, tolerance) -> GTObject:
+    dense = gt.dense()
+    gb = boundary_patch(dense)
+    zone = None if gb is None else dilate_patch(gb, tolerance, gt.height, gt.width)
+    return GTObject(object_id, gt, dense, gb, zone)
+
+
+def prepare_frame(gt_frame, ids, tolerance) -> list:
+    """The GTObject of each id in ``ids``, in that order, from one frame's
+    {object_id: Mask} GT: what score_frame needs of the GT, computed once."""
+    return [_prepare(j, gt_frame[j], tolerance) for j in ids]
+
+
+def _boundary_similarity(pred, gt: GTObject, tolerance) -> float:
+    """F of a dense boolean grid against a same-shape prepared GT object."""
+    pb, gb = boundary_patch(pred), gt.boundary
     if pb is None and gb is None:
         return 1.0
     if pb is None or gb is None:
         return 0.0
     h, w = pred.shape
-    precision = count_inside(pb, dilate_patch(gb, tolerance, h, w)) / pb.area
+    precision = count_inside(pb, gt.zone) / pb.area
     recall = count_inside(gb, dilate_patch(pb, tolerance, h, w)) / gb.area
     if precision + recall == 0:
         return 0.0
@@ -124,21 +150,23 @@ class EvalResult:
 
 def check_labels(t, lm, ids):
     """Every nonzero label of frame t's label map must be one of ``ids``."""
+    if set(range(1, int(lm.labels.max()) + 1)) <= set(ids):
+        return  # every label up to the largest is known
     present = np.flatnonzero(np.bincount(lm.labels.ravel())).tolist()
     unknown = set(present) - {0} - set(ids)
     if unknown:
         raise TrackmergeError(f"frame {t}: unknown labels {sorted(unknown)}")
 
 
-def score_frame(lm, gt_frame, ids, tolerance) -> list:
-    """(J, F) of one predicted label map for each object id in ``ids``,
-    against that frame's {object_id: Mask} GT."""
+def score_frame(lm, gt, tolerance) -> list:
+    """(J, F) of one predicted label map for each object of ``gt``, that
+    frame's prepare_frame list made with the same tolerance."""
     out = []
-    for j in ids:
-        gt_mask = gt_frame[j]
-        check_same_shape(lm, gt_mask)
-        pred, gt = lm.labels == j, gt_mask.dense()
-        out.append((_region_similarity(pred, gt), _boundary_similarity(pred, gt, tolerance)))
+    for obj in gt:
+        check_same_shape(lm, obj.mask)
+        pred = lm.labels == obj.object_id
+        j = _region_similarity(pred, obj.dense)
+        out.append((j, _boundary_similarity(pred, obj, tolerance)))
     return out
 
 
@@ -194,9 +222,11 @@ def evaluate(pred_label_maps, gt_all_frames, tolerance=None, exclude_last=False)
     if not frames:
         raise TrackmergeError("no frames left to evaluate")
     _check_tolerance(tolerance)
-    return summarize(
-        ids, [score_frame(pred_label_maps[t], gt_all_frames[t], ids, tolerance) for t in frames]
-    )
+    scores = []
+    for t in frames:
+        gt = prepare_frame(gt_all_frames[t], ids, tolerance)
+        scores.append(score_frame(pred_label_maps[t], gt, tolerance))
+    return summarize(ids, scores)
 
 
 def result_to_dict(res: EvalResult) -> dict:

@@ -25,7 +25,13 @@ from .errors import TrackmergeError
 from .labelmap import paint
 from .mask import Mask, foreground, ious, run_table
 from .merging import SubScorer
-from .metrics import check_labels, default_boundary_tolerance, score_frame, summarize
+from .metrics import (
+    check_labels,
+    default_boundary_tolerance,
+    prepare_frame,
+    score_frame,
+    summarize,
+)
 from .scoring import WeightVector, combine
 
 OBJECTIVES = ("jf_mean", "j_mean", "f_mean")
@@ -180,6 +186,8 @@ def _walk(video, candidates, weights, objective) -> _Walk:
     empty = Mask.empty(w, h)
     first = [g.first_frame_mask for g in manifest.ground_truth]
     check_labels(0, paint(w, h, [(j, m, 0.0) for j, m in zip(ids, first)]), gt_ids)
+    # each frame's GT boundaries and their dilations, shared by its label maps
+    prepared = [None] + [prepare_frame(gt[t], gt_ids, tolerance) for t in range(1, frames)]
 
     out = _Walk(np.zeros(len(candidates), dtype=np.intp), [], 0)
     # A state is (frame t, the tracks' masks at t-1, its paths). A path is a
@@ -216,7 +224,7 @@ def _walk(video, candidates, weights, objective) -> _Walk:
                                for jj, (j, kj) in enumerate(zip(ids, k))]
                 lm = paint(w, h, entries)
                 check_labels(t, lm, gt_ids)
-                scores = score_frame(lm, gt[t], gt_ids, tolerance)
+                scores = score_frame(lm, prepared[t], tolerance)
                 for p, on_path in zip(*_group_rows(path_of[rows])):
                     child.append(((paths[p[0]][0], scores), group[rows[on_path]]))
             stack.append((t + 1, [empty if kj < 0 else masks[kj] for kj in k], child))

@@ -94,3 +94,45 @@ class TestVote:
         # more than 255 votes for one label
         many = [[lm([[1]])]] * 260 + [[lm([[2]])]] * 40
         assert majority_vote(many)[0].labels.tolist() == [[1]]
+
+
+def per_pixel_mode(results, t):
+    """The most votes at each pixel; among tied leaders, the smallest label."""
+    stack = np.stack([r[t].labels for r in results])
+    out = np.zeros(stack.shape[1:], np.uint8)
+    for y, x in np.ndindex(*out.shape):
+        votes = stack[:, y, x].tolist()
+        out[y, x] = min(set(votes), key=lambda v: (-votes.count(v), v))
+    return out
+
+
+class TestDisagreementVote:
+    """The vote runs only where the inputs differ; each case against the
+    per-pixel mode."""
+
+    @staticmethod
+    def check(results):
+        voted = majority_vote(results)
+        for t in range(len(results[0])):
+            assert np.array_equal(voted[t].labels, per_pixel_mode(results, t))
+
+    def test_all_agree(self):
+        r = random_result(np.random.default_rng(5), labels=(0, 3, 9))
+        self.check([r] * 4)
+
+    def test_none_agree(self):
+        # at every pixel, input i votes label (i + pixel) % 5 + 1: all differ
+        h, w, n = 4, 6, 5
+        grid = np.add.outer(np.arange(h), np.arange(w))
+        results = [[lm((grid + i) % n + 1), lm((grid + 2 * i) % n + 1)] for i in range(n)]
+        for t in range(2):
+            stack = np.stack([r[t].labels for r in results])
+            assert all(len(set(stack[:, y, x])) == n for y, x in np.ndindex(h, w))
+        self.check(results)
+
+    def test_ties(self):
+        # two inputs against two, pixel by pixel, with some unanimous pixels
+        rng = np.random.default_rng(6)
+        a, b = random_result(rng, labels=(0, 2, 4)), random_result(rng, labels=(1, 2, 7))
+        self.check([a, b, b, a])
+        self.check([b, a])

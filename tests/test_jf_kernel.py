@@ -2,6 +2,9 @@
 checked for exact equality against a brute-force dense reference."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -10,17 +13,22 @@ from hypothesis import strategies as st
 
 from trackmerge.errors import MaskError, TrackmergeError
 from trackmerge.labelmap import LabelMap
-from trackmerge.mask import Mask, boundary, dilate
+from trackmerge.mask import Mask, boundary, dilate, dilate_patch, patch
 from trackmerge.metrics import (
     ObjectResult,
+    check_labels,
     evaluate,
     f_measure,
     j_measure,
+    prepare_frame,
+    score_frame,
     sequence_stats,
 )
 
 TOLERANCES = (0, 0.5, 1, 2, 2.5, 3, 8, 40, math.inf)
 KERNEL = settings(max_examples=300, deadline=None, derandomize=True)
+# radii just inside or outside an integer offset's length
+EDGE_RADII = (0.49999997, 1.0000001, math.sqrt(2), math.sqrt(5), 2.9999)
 
 
 # ---------------------------------------------------------------------------
@@ -159,6 +167,48 @@ class TestAgainstReference:
                 assert f_measure(m, m2, tolerance) == ref_f(g, g2, tolerance)
 
 
+class TestDilatePatch:
+    """dilate_patch's box and grid: the patch's box grown by floor(radius)
+    and clipped to the image, holding exactly ref_dilate of the frame."""
+
+    @staticmethod
+    def check(g, radius):
+        h, w = g.shape
+        p = patch(g)
+        d = dilate_patch(p, radius, h, w)
+        k = math.floor(min(radius, max(h, w) - 1))
+        ph, pw = p.grid.shape
+        y0, x0 = max(p.y0 - k, 0), max(p.x0 - k, 0)
+        y1, x1 = min(p.y0 + ph + k, h), min(p.x0 + pw + k, w)
+        assert (d.y0, d.x0, d.grid.shape) == (y0, x0, (y1 - y0, x1 - x0))
+        frame = np.zeros_like(g)
+        frame[y0:y1, x0:x1] = d.grid
+        assert np.array_equal(frame, ref_dilate(g, radius))
+
+    @pytest.mark.parametrize("radius", EDGE_RADII + (50, 1e9, math.inf))
+    def test_edge_masks(self, radius):
+        for g in edge_grids():
+            if g.any():
+                self.check(g, radius)
+
+    @pytest.mark.parametrize("radius", EDGE_RADII + (1, 8, 1e9))
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 9), (9, 1)])
+    def test_thin_images(self, shape, radius):
+        for i in range(max(shape)):
+            g = np.zeros(shape, bool)
+            g.flat[i] = True
+            self.check(g, radius)
+        g = np.zeros(shape, bool)
+        g.flat[::3] = True
+        self.check(g, radius)
+
+    @KERNEL
+    @given(single, st.sampled_from(EDGE_RADII + TOLERANCES))
+    def test_random(self, g, radius):
+        if g.any():
+            self.check(g, radius)
+
+
 @st.composite
 def videos(draw):
     h, w = draw(shapes)
@@ -190,6 +240,20 @@ class TestEvaluateAgainstReference:
             assert res.per_object[j] == ObjectResult(*sequence_stats(js), *sequence_stats(fs))
         assert res.j_mean == float(np.mean([r.j_mean for r in res.per_object.values()]))
         assert res.f_mean == float(np.mean([r.f_mean for r in res.per_object.values()]))
+
+
+class TestScoreFrame:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(videos(), st.sampled_from((0, 1, 2.5, 40)))
+    def test_prepared_frame(self, video, tolerance):
+        preds, gts = video
+        for lm, frame in zip(preds, gts):
+            gt = prepare_frame({j: Mask.from_dense(g) for j, g in frame.items()}, (1, 2), tolerance)
+            expected = [
+                (ref_j(lm.labels == j, frame[j]), ref_f(lm.labels == j, frame[j], tolerance))
+                for j in (1, 2)
+            ]
+            assert score_frame(lm, gt, tolerance) == expected
 
 
 class TestRejected:
@@ -230,3 +294,31 @@ class TestRejected:
         lm = LabelMap(4, 4, np.full((4, 4), 7, np.uint8))
         with pytest.raises(TrackmergeError, match=r"frame 0: unknown labels \[7\]"):
             evaluate([lm, lm], [{1: m}, {1: m}])
+
+    def test_unknown_label_below_largest(self):
+        labels = np.array([[0, 1, 2, 3]], np.uint8)
+        with pytest.raises(TrackmergeError, match=r"frame 4: unknown labels \[2\]"):
+            check_labels(4, LabelMap(4, 1, labels), [1, 3])
+        with pytest.raises(TrackmergeError, match=r"frame 4: unknown labels \[3\]"):
+            check_labels(4, LabelMap(4, 1, labels), [1, 2])
+        check_labels(4, LabelMap(4, 1, labels), [1, 2, 3])
+        check_labels(4, LabelMap(4, 1, labels), [3, 2, 1, 7])
+
+
+def test_evaluate_loads_no_scipy():
+    code = (
+        "import sys, numpy as np\n"
+        "import trackmerge\n"
+        "from trackmerge.labelmap import LabelMap\n"
+        "from trackmerge.mask import Mask\n"
+        "from trackmerge.metrics import evaluate\n"
+        "g = np.zeros((6, 8), bool); g[1:4, 2:6] = True\n"
+        "lm = LabelMap(8, 6, g.astype(np.uint8))\n"
+        "evaluate([lm, lm, lm], [{1: Mask.from_dense(g)}] * 3, tolerance=2.5)\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"

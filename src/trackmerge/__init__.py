@@ -23,7 +23,6 @@ from .scoring import (
     compute_video_max_distances,
     effective_weights,
     inverse_scores,
-    maskprop_score,
     reid_score,
 )
 from .search import SearchConfig, SearchResult, random_search, sample_simplex

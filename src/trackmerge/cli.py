@@ -173,8 +173,6 @@ def cmd_search(args):
     for d in args.data:
         m = load_manifest(os.path.join(d, "manifest.json"))
         m = filter_manifest(m, args.score_min, args.nms_iou)
-        # every candidate merges every frame: read each .flo file once
-        m.preloaded_flows = [m.flow(t) for t in range(1, m.frame_count)]
         videos.append((m, load_gt_dir(os.path.join(d, "gt"))))
     cfg = SearchConfig(
         sample_count=args.samples,

@@ -104,8 +104,16 @@ def write_frames(maps, directory):
 
 
 def read_frames(directory) -> list:
-    """The label maps of ``directory``'s .pgm files, in file-name order."""
+    """The label maps of ``directory``'s .pgm files, in file-name order; they
+    must all have the same size."""
     files = sorted(glob.glob(os.path.join(directory, "*.pgm")))
     if not files:
         raise TrackmergeError(f"no .pgm files in {directory}")
-    return [read_pgm(f) for f in files]
+    maps = [read_pgm(f) for f in files]
+    for f, lm in zip(files, maps):
+        if (lm.width, lm.height) != (maps[0].width, maps[0].height):
+            raise TrackmergeError(
+                f"{f}: label map is {lm.width}x{lm.height}, {files[0]} is "
+                f"{maps[0].width}x{maps[0].height}"
+            )
+    return maps

@@ -93,32 +93,25 @@ class SubScorer:
     weight search: ``scorer(t, previous)`` is the (n, J, 5) sub-score tensor
     of frame t's n proposals given each track's mask at frame t-1.
 
-    Frame t's run table and flow source pairs depend only on t. With
-    ``keep`` set they are built once and kept, for callers that score a
-    frame under many track states; otherwise they are built on each call, so
-    one pass over the video holds one frame's worth at a time.
+    Frame t's run table and flow source pairs depend only on t. Both callers
+    visit the frames in order, the search with several track states per
+    frame, so the scorer keeps the last frame's and holds one frame at a time.
     """
 
-    def __init__(self, manifest: VideoManifest, keep=False):
+    def __init__(self, manifest: VideoManifest):
         self.manifest = manifest
         self.distances = embedding_distances(manifest)
         self.max_dist = np.array(
             list(compute_video_max_distances(manifest, self.distances).values())
         )
-        self._kept = {} if keep else None
-
-    def frame(self, t):
-        """(run table of frame t's proposals, source_pairs of its flow)."""
-        if self._kept is not None and t in self._kept:
-            return self._kept[t]
-        table = run_table([p.mask for p in self.manifest.proposals[t]])
-        pairs = source_pairs(self.manifest.flow(t))  # shared by all tracks
-        if self._kept is not None:
-            self._kept[t] = table, pairs
-        return table, pairs
+        self._frame = None  # (t, run table, source_pairs of its flow)
 
     def __call__(self, t, previous) -> np.ndarray:
-        table, (dest, src) = self.frame(t)
+        if self._frame is None or self._frame[0] != t:
+            table = run_table([p.mask for p in self.manifest.proposals[t]])
+            pairs = source_pairs(self.manifest.flow(t))  # shared by all tracks
+            self._frame = t, table, pairs
+        _, table, (dest, src) = self._frame
         # each track's previous mask warped along the flow, as foreground indices
         prop = np.stack([ious(table, dest[column_major(m)[src]]) for m in previous], axis=1)
         objectness = [p.objectness for p in self.manifest.proposals[t]]
@@ -136,7 +129,7 @@ def greedy_merge(
     inactive components' weights are redistributed equally over active ones.
     """
     weights = weights if weights is not None else WeightVector.equal()
-    w = effective_weights(weights, active)
+    w = effective_weights(weights, active).as_array()
     scorer = SubScorer(manifest)
 
     def score_frame(t, proposals, previous):
@@ -161,9 +154,15 @@ def oracle_merge(manifest: VideoManifest, gt_all_frames) -> TrackSet:
             f"full GT has {len(gt_all_frames)} frames, expected {manifest.frame_count}"
         )
     ids = manifest.object_ids
+    w, h = manifest.width, manifest.height
     for t, frame_gt in enumerate(gt_all_frames):
         if set(frame_gt) != set(ids):
             raise TrackmergeError(f"full GT frame {t} object set does not match manifest")
+        for j, m in frame_gt.items():
+            if (m.width, m.height) != (w, h):
+                raise TrackmergeError(
+                    f"full GT frame {t} object {j} is {m.width}x{m.height}, video is {w}x{h}"
+                )
 
     def score_frame(t, proposals, previous):
         table = run_table([p.mask for p in proposals])

@@ -12,8 +12,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import TrackmergeError
-from .flow import FlowField, warp_mask
-from .mask import Mask, iou
 
 COMPONENTS = ("objectness", "reid", "maskprop", "inv_reid", "inv_maskprop")
 
@@ -106,11 +104,6 @@ def compute_video_max_distances(manifest, distances=None) -> dict:
     return {g.object_id: float(d) for g, d in zip(manifest.ground_truth, best)}
 
 
-def maskprop_score(candidate: Mask, prev_selected: Mask, backward_flow: FlowField) -> float:
-    """IoU between the candidate and the previous selection warped forward."""
-    return iou(candidate, warp_mask(prev_selected, backward_flow), empty_empty=0.0)
-
-
 def inverse_scores(per_track_reid, per_track_maskprop, track_index: int):
     """Complements of the best score against all *other* tracks.
 
@@ -152,11 +145,11 @@ def frame_subscores(objectness, distances, max_distances, maskprop) -> np.ndarra
     return sub
 
 
-def combine(sub, w: WeightVector) -> np.ndarray:
-    """combined_score of every (proposal, track) pair of an (n, J, 5) tensor,
-    one np.dot each: a matrix product may round differently and flip ties."""
-    wa = w.as_array()
+def combine(sub, w) -> np.ndarray:
+    """combined_score of every (proposal, track) pair of an (n, J, 5) tensor
+    under the weight row ``w`` (WeightVector.as_array order), one np.dot
+    each: a matrix product may round differently and flip ties."""
     out = np.empty(sub.shape[:2])
     for i, jj in np.ndindex(out.shape):
-        out[i, jj] = np.dot(sub[i, jj], wa)
+        out[i, jj] = np.dot(sub[i, jj], w)
     return out

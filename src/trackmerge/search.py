@@ -4,12 +4,13 @@ with the equal-weights vector always force-included as candidate 0.
 
 Candidates share almost all of that work: frame t's sub-scores depend only
 on what the tracks selected at frame t-1, never on the weights. So each
-video is walked depth first as a tree of merge states (frame t, the
-selections before it). A state builds its sub-score tensor once and splits
-its candidates by what they select and by the paint order of overlapping
-selections; each distinct label map of a state is scored once, and each
-leaf, one distinct merge of the whole video, is summarized once. The
-scores equal those of greedy_merge then evaluate, bit for bit (see _decide).
+video is walked frame by frame. The states of frame t are the distinct
+selections at t-1 among the candidates. A state builds its sub-score tensor
+once and splits its candidates by what they select and by the paint order
+of overlapping selections; each distinct label map of a state is scored
+once, and each leaf, one distinct sequence of scored label maps over the
+video, is summarized once. The scores equal those of greedy_merge then
+evaluate, bit for bit (see _decide).
 """
 
 from __future__ import annotations
@@ -73,13 +74,14 @@ def sample_simplex(rng: np.random.Generator) -> WeightVector:
     return WeightVector.from_array(draws / draws.sum())
 
 
-def _candidates(cfg: SearchConfig):
-    """Candidate 0 is always the equal-weights vector; the rest are seeded
-    uniform simplex samples (PCG64 stream from the configured seed), drawn
-    as sample_simplex draws them, in one call."""
+def _candidates(cfg: SearchConfig) -> np.ndarray:
+    """The (sample_count, 5) candidate weights. Row 0 is always the
+    equal-weights vector; the rest are seeded uniform simplex samples (PCG64
+    stream from the configured seed), drawn as sample_simplex draws them, in
+    one call."""
     draws = np.random.default_rng(cfg.seed).standard_exponential((cfg.sample_count - 1, 5))
     draws /= draws.sum(axis=1, keepdims=True)
-    return [WeightVector.equal(), *(WeightVector(*row) for row in draws.tolist())]
+    return np.vstack([WeightVector.equal().as_array(), draws])
 
 
 # Matrix-product scores closer than this to a tie are redone with
@@ -106,15 +108,15 @@ def _group_rows(keys):
     return ordered[starts], np.split(order, starts[1:])
 
 
-def _decide(sub, weights, candidates, group, ids, masks):
+def _decide(sub, weights, group, ids, masks):
     """What each candidate of one state selects and paints at its frame.
 
     ``sub`` is the state's (n, J, 5) sub-score tensor, ``group`` the
-    candidates' indices into ``candidates`` (whose weights are the rows of
-    ``weights``), ``ids`` the track object ids and ``masks`` the frame's
-    proposal masks. Returns one (selections, variants) pair per distinct
-    choice of proposals, one per track; each variant lists the candidates,
-    as positions in ``group``, that paint one label map from them.
+    candidates' indices into the rows of ``weights``, ``ids`` the track
+    object ids and ``masks`` the frame's proposal masks. Returns one
+    (selections, variants) pair per distinct choice of proposals, one per
+    track; each variant lists the candidates, as positions in ``group``,
+    that paint one label map from them.
 
     _approx_scores scores every candidate at once. It may round differently
     from combine's np.dot, which defines the scores, so a candidate is scored
@@ -132,7 +134,7 @@ def _decide(sub, weights, candidates, group, ids, masks):
 
     def rescore(rows):
         for i in rows:
-            comb = combine(sub, candidates[group[i]])
+            comb = combine(sub, weights[group[i]])
             select[i] = comb.argmax(axis=0)
             top[i] = comb[select[i], np.arange(tracks)]
         exact[rows] = True
@@ -162,15 +164,16 @@ def _decide(sub, weights, candidates, group, ids, masks):
 
 @dataclass
 class _Walk:
-    """One video's search tree: each candidate's leaf and each leaf's score."""
+    """One video's walk: each candidate's leaf and each leaf's score."""
 
     leaf: np.ndarray
     scores: list
     states: int
 
 
-def _walk(video, candidates, weights, objective) -> _Walk:
-    """Score every candidate on one (manifest, full-video GT) pair."""
+def _walk(video, weights, objective) -> _Walk:
+    """Score every candidate, one row of ``weights`` each, on one (manifest,
+    full-video GT) pair."""
     manifest, gt = video
     frames = manifest.frame_count
     # the checks evaluate() makes of every candidate's merge
@@ -182,53 +185,48 @@ def _walk(video, candidates, weights, objective) -> _Walk:
     gt_ids = sorted(gt[0])
     tolerance = default_boundary_tolerance(w, h)
     ids = manifest.object_ids
-    scorer = SubScorer(manifest, keep=True)
+    scorer = SubScorer(manifest)
     empty = Mask.empty(w, h)
     first = [g.first_frame_mask for g in manifest.ground_truth]
     check_labels(0, paint(w, h, [(j, m, 0.0) for j, m in zip(ids, first)]), gt_ids)
-    # each frame's GT boundaries and their dilations, shared by its label maps
-    prepared = [None] + [prepare_frame(gt[t], gt_ids, tolerance) for t in range(1, frames)]
 
-    out = _Walk(np.zeros(len(candidates), dtype=np.intp), [], 0)
-    # A state is (frame t, the tracks' masks at t-1, its paths). A path is a
-    # (history, candidate indices) pair; its history links the per-frame
-    # score_frame lists so far as (earlier history, this frame's list).
-    stack = [(1, first, [(None, np.arange(len(candidates)))])]
-    while stack:
-        t, previous, paths = stack.pop()
-        if t == frames:
-            for history, members in paths:
-                per_frame = []
-                while history is not None:
-                    history, frame = history
-                    per_frame.append(frame)
-                out.leaf[members] = len(out.scores)
-                out.scores.append(getattr(summarize(gt_ids, per_frame[::-1]), objective))
-            continue
-        out.states += 1
-        group = np.concatenate([members for _, members in paths])
-        path_of = np.repeat(np.arange(len(paths)), [len(m) for _, m in paths])
+    # selected[i]: candidate i's proposal per track at the last frame walked
+    # (-1: none); painted[t - 1, i]: the index in ``scored`` of the label map
+    # candidate i paints at frame t. A state is one distinct row of selected.
+    selected = np.full((len(weights), len(ids)), -1)
+    painted = np.empty((frames - 1, len(weights)), dtype=np.int32)
+    scored, states, before = [], 0, []
+    for t in range(1, frames):
+        prepared = prepare_frame(gt[t], gt_ids, tolerance)
         masks = [p.mask for p in manifest.proposals[t]]
-        if masks:
-            sub = scorer(t, previous)
-            choices = _decide(sub, weights, candidates, group, ids, masks)
-        else:
-            choices = [(np.full(len(ids), -1), [np.arange(len(group))])]
-        for k, variants in choices:
-            child = []
-            for rows in variants:
-                entries = []
-                if masks:  # every candidate here orders the overlaps alike
-                    comb = combine(sub, candidates[group[rows[0]]])
-                    entries = [(j, masks[kj], float(comb[kj, jj]))
-                               for jj, (j, kj) in enumerate(zip(ids, k))]
-                lm = paint(w, h, entries)
-                check_labels(t, lm, gt_ids)
-                scores = score_frame(lm, prepared[t], tolerance)
-                for p, on_path in zip(*_group_rows(path_of[rows])):
-                    child.append(((paths[p[0]][0], scores), group[rows[on_path]]))
-            stack.append((t + 1, [empty if kj < 0 else masks[kj] for kj in k], child))
-    return out
+        for key, group in zip(*_group_rows(selected)):
+            states += 1
+            if masks:
+                previous = first if t == 1 else [empty if k < 0 else before[k] for k in key]
+                sub = scorer(t, previous)
+                choices = _decide(sub, weights, group, ids, masks)
+            else:
+                choices = [(np.full(len(ids), -1), [np.arange(len(group))])]
+            for k, variants in choices:
+                for rows in variants:
+                    entries = []
+                    if masks:  # every candidate here orders the overlaps alike
+                        comb = combine(sub, weights[group[rows[0]]])
+                        entries = [(j, masks[kj], float(comb[kj, jj]))
+                                   for jj, (j, kj) in enumerate(zip(ids, k))]
+                    lm = paint(w, h, entries)
+                    check_labels(t, lm, gt_ids)
+                    painted[t - 1, group[rows]] = len(scored)
+                    scored.append(score_frame(lm, prepared, tolerance))
+                    selected[group[rows]] = k
+        before = masks
+
+    # a leaf is one distinct row of painted.T: one distinct merge of the video
+    leaf, scores = np.empty(len(weights), dtype=np.intp), []
+    for i, (row, group) in enumerate(zip(*_group_rows(painted.T))):
+        leaf[group] = i
+        scores.append(getattr(summarize(gt_ids, [scored[m] for m in row]), objective))
+    return _Walk(leaf, scores, states)
 
 
 def random_search(videos, cfg: SearchConfig, jobs: int = 1) -> SearchResult:
@@ -243,10 +241,9 @@ def random_search(videos, cfg: SearchConfig, jobs: int = 1) -> SearchResult:
     """
     if not videos:
         raise TrackmergeError("random_search needs at least one video")
-    candidates = _candidates(cfg)
     # all components are active in the search, so these are the effective weights
-    weights = np.array([w.as_array() for w in candidates])
-    shared = repeat(candidates), repeat(weights), repeat(cfg.objective)
+    weights = _candidates(cfg)
+    shared = repeat(weights), repeat(cfg.objective)
     if jobs > 1 and len(videos) > 1:
         with ProcessPoolExecutor(max_workers=min(jobs, len(videos))) as pool:
             walks = list(pool.map(_walk, videos, *shared))
@@ -254,18 +251,16 @@ def random_search(videos, cfg: SearchConfig, jobs: int = 1) -> SearchResult:
         walks = list(map(_walk, videos, *shared))
 
     # candidates with the same leaf in every video share one mean
-    scores = [0.0] * len(candidates)
+    scores = [0.0] * len(weights)
     for leaves, members in zip(*_group_rows(np.stack([wk.leaf for wk in walks], axis=1))):
         mean = float(np.mean([wk.scores[i] for wk, i in zip(walks, leaves)]))
         for i in members.tolist():
             scores[i] = mean
 
-    order = sorted(range(len(candidates)), key=lambda i: (-scores[i], i))
-    ranked = [(i, candidates[i], scores[i]) for i in order]
-    trace = [
-        {"index": i, "weights": row, "score": scores[i]}
-        for i, row in enumerate(weights.tolist())
-    ]
+    rows = weights.tolist()
+    order = sorted(range(len(rows)), key=lambda i: (-scores[i], i))
+    ranked = [(i, WeightVector(*rows[i]), scores[i]) for i in order]
+    trace = [{"index": i, "weights": row, "score": scores[i]} for i, row in enumerate(rows)]
     return SearchResult(
         ranked=ranked,
         best_weights=ranked[0][1],

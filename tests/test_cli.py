@@ -1,6 +1,7 @@
 import json
 import os
 
+import numpy as np
 import pytest
 
 from trackmerge.cli import main, parse_components, parse_weights
@@ -313,6 +314,43 @@ class TestPipeline:
         assert code == 1
         err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert err["error"] == "TrackmergeError" and "dimensions" in err["message"]
+
+    def _last_error(self, capsys):
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        return json.loads(lines[0])
+
+    def test_oracle_gt_of_another_size_is_data_error(self, tmp_path, capsys):
+        from trackmerge.labelmap import LabelMap, read_frames, write_frames
+
+        data = tmp_path / "data"
+        run("synth", "--out", str(data), "--preset", "crossing", "--seed", "0")
+        wider = [LabelMap(43, 26, np.pad(lm.labels, ((0, 0), (0, 3))))
+                 for lm in read_frames(data / "gt")]
+        write_frames(wider, tmp_path / "gt")
+        out = tmp_path / "o"
+        code = run("oracle", "--manifest", str(data / "manifest.json"),
+                   "--gt", str(tmp_path / "gt"), "--out", str(out))
+        assert code == 1
+        err = self._last_error(capsys)
+        assert err["error"] == "TrackmergeError" and "is 43x26, video is 40x26" in err["message"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["eval", "oracle", "search"])
+    def test_gt_pgms_of_mixed_sizes_are_data_error(self, tmp_path, capsys, command):
+        from trackmerge.labelmap import LabelMap, write_pgm
+
+        data = tmp_path / "data"
+        run("synth", "--out", str(data), "--preset", "single", "--seed", "0")
+        write_pgm(LabelMap.background(7, 5), data / "gt" / "00002.pgm")
+        args = {
+            "eval": ["--pred", str(data / "gt"), "--gt", str(data / "gt")],
+            "oracle": ["--manifest", str(data / "manifest.json"), "--gt", str(data / "gt")],
+            "search": ["--data", str(data), "--samples", "2", "--top-k", "1"],
+        }[command]
+        assert run(command, *args, "--out", str(tmp_path / "o")) == 1
+        err = self._last_error(capsys)
+        assert err["error"] == "TrackmergeError" and "00002.pgm: label map is 7x5" in err["message"]
 
     @pytest.mark.parametrize("video_id", ["../escaped", "a\0b", {"a": 1}])
     def test_video_id_outside_out_is_data_error(self, tmp_path, capsys, video_id):

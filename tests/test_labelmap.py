@@ -76,3 +76,9 @@ class TestFrameDirectory:
         (tmp_path / "notes.txt").write_text("not a frame")
         with pytest.raises(TrackmergeError, match="no .pgm files"):
             read_frames(tmp_path)
+
+    def test_mixed_sizes_rejected(self, tmp_path):
+        write_frames([LabelMap.background(3, 2), LabelMap.background(3, 2)], tmp_path)
+        write_pgm(LabelMap.background(2, 3), tmp_path / "00001.pgm")
+        with pytest.raises(TrackmergeError, match="00001.pgm: label map is 2x3"):
+            read_frames(tmp_path)

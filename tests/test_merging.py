@@ -3,8 +3,9 @@ import pytest
 
 from naive_reference import naive_selections
 from trackmerge.errors import TrackmergeError
+from trackmerge.flow import warp_mask
 from trackmerge.manifest import filter_manifest
-from trackmerge.mask import iou
+from trackmerge.mask import Mask, iou
 from trackmerge.merging import ALL_ACTIVE, greedy_merge, oracle_merge
 from trackmerge.metrics import evaluate
 from trackmerge.scoring import (
@@ -14,7 +15,6 @@ from trackmerge.scoring import (
     compute_video_max_distances,
     effective_weights,
     inverse_scores,
-    maskprop_score,
     reid_score,
 )
 from trackmerge.search import sample_simplex
@@ -155,7 +155,8 @@ class TestReport:
                     p = manifest.proposals[t][entry["proposal"]]
                     reid = [reid_score(p.embedding, o.embedding, max_dist[o.object_id]) for o in gt]
                     prop = [
-                        maskprop_score(p.mask, ts.masks[o.object_id][t - 1], manifest.flow(t))
+                        iou(p.mask, warp_mask(ts.masks[o.object_id][t - 1], manifest.flow(t)),
+                            empty_empty=0.0)
                         for o in gt
                     ]
                     sub = (p.objectness, reid[jj], prop[jj], *inverse_scores(reid, prop, jj))
@@ -202,6 +203,15 @@ class TestOracle:
         result = generate(random_scenario(14))
         with pytest.raises(TrackmergeError):
             oracle_merge(result.manifest, result.gt_all_frames[:-1])
+
+    def test_gt_of_another_size_rejected(self):
+        result = generate(crossing_scenario(0))
+        wider = [
+            {j: Mask.from_dense(np.pad(m.dense(), ((0, 0), (0, 3)))) for j, m in frame.items()}
+            for frame in result.gt_all_frames
+        ]
+        with pytest.raises(TrackmergeError, match="is 43x26, video is 40x26"):
+            oracle_merge(result.manifest, wider)
 
     def test_oracle_dominates_greedy(self):
         rng = np.random.default_rng(77)

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from trackmerge.errors import TrackmergeError
-from trackmerge.flow import FlowField
-from trackmerge.mask import Mask
+from trackmerge.flow import FlowField, warp_mask
+from trackmerge.mask import Mask, iou
 from trackmerge.scoring import (
     WeightVector,
     combine,
@@ -13,7 +13,6 @@ from trackmerge.scoring import (
     embedding_distances,
     frame_subscores,
     inverse_scores,
-    maskprop_score,
     reid_score,
 )
 from trackmerge.search import sample_simplex
@@ -115,17 +114,23 @@ class TestMaxDistances:
         assert all(v >= 0 for v in d.values())
 
 
+def propagated_iou(candidate, previous, flow):
+    """The maskprop sub-score: IoU of the candidate with the previous
+    selection warped along the flow, 0 when both are empty."""
+    return iou(candidate, warp_mask(previous, flow), empty_empty=0.0)
+
+
 class TestMaskprop:
     def test_identity_under_zero_flow(self):
         grid = np.zeros((4, 4), bool)
         grid[1:3, 1:3] = True
         m = Mask.from_dense(grid)
         flow = FlowField.zero(4, 4)
-        assert maskprop_score(m, m, flow) == 1.0
+        assert propagated_iou(m, m, flow) == 1.0
 
     def test_empty_previous_selection(self):
         flow = FlowField.zero(4, 4)
-        assert maskprop_score(Mask.full(4, 4), Mask.empty(4, 4), flow) == 0.0
+        assert propagated_iou(Mask.full(4, 4), Mask.empty(4, 4), flow) == 0.0
 
     def test_half_overlap_after_shift(self):
         # warped single pixel lands inside a 2-pixel candidate: IoU 1/2
@@ -136,7 +141,7 @@ class TestMaskprop:
         cand = np.zeros((5, 5), bool)
         cand[2, 3] = True
         cand[2, 4] = True
-        score = maskprop_score(
+        score = propagated_iou(
             Mask.from_dense(cand), Mask.from_dense(prev), FlowField(5, 5, vec)
         )
         assert score == pytest.approx(0.5)
@@ -208,7 +213,7 @@ class TestFrameArrays:
         maskprop[0] = 0.0
         sub = frame_subscores(objectness, distances, max_distances, maskprop)
         w = sample_simplex(rng)
-        comb = combine(sub, w)
+        comb = combine(sub, w.as_array())
         for i in range(n):
             reid = [
                 reid_score([distances[i, jj]], [0.0], max_distances[jj]) for jj in range(tracks)

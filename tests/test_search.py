@@ -42,7 +42,8 @@ class TestSampling:
         rng = np.random.default_rng(seed)
         want = [WeightVector.equal()] + [sample_simplex(rng) for _ in range(count - 1)]
         got = search._candidates(SearchConfig(sample_count=count, seed=seed, top_k=1))
-        assert [w.as_array().tobytes() for w in got] == [w.as_array().tobytes() for w in want]
+        assert got.shape == (count, 5)
+        assert [row.tobytes() for row in got] == [w.as_array().tobytes() for w in want]
 
     def test_marginal_means_uniform(self):
         rng = np.random.default_rng(1)

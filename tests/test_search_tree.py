@@ -170,6 +170,19 @@ class TestSharing:
         res = random_search([video(crossing_scenario(0))], SearchConfig(sample_count=2000))
         assert (res.states, res.leaves) == (17, 2)
 
+    def test_one_state_per_frame_and_selections_before_it(self):
+        manifest, gt = video(random_scenario(0, max_frames=6, max_objects=3, max_distractors=3))
+        cfg = SearchConfig(sample_count=300, seed=1)
+        rng = np.random.default_rng(cfg.seed)
+        candidates = [WeightVector.equal()]
+        candidates += [sample_simplex(rng) for _ in range(cfg.sample_count - 1)]
+        keys = set()
+        for w in candidates:
+            sel = greedy_merge(manifest, w).selections
+            for t in range(1, manifest.frame_count):
+                keys.add((t, tuple(-1 if sel[j][t - 1] is None else sel[j][t - 1] for j in sel)))
+        assert random_search([(manifest, gt)], cfg).states == len(keys) == 11
+
     def test_counts_stay_out_of_the_file(self):
         res = random_search([small_instance(0)], SearchConfig(sample_count=5, top_k=2))
         assert set(result_to_dict(res)) == {"best", "ranked", "top_k", "trace"}

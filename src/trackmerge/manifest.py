@@ -171,7 +171,8 @@ def _require_list(obj, key, where, is_item=None) -> list:
 
 
 def _mask_from_rle(rle, width, height, where) -> Mask:
-    if not isinstance(rle, list) or not all(map(_is_int, rle)):
+    # one C-level pass over the element types; bool is a type of its own
+    if not isinstance(rle, list) or not set(map(type, rle)) <= {int}:
         raise ManifestError(f"{where}.rle: expected an integer array")
     try:
         return Mask(width, height, rle)

@@ -5,6 +5,12 @@ The RLE layout is COCO-style uncompressed counts: the image is flattened
 column by column (down each column first) and stored as alternating run
 lengths starting with background, so a mask whose first pixel is foreground
 begins with a zero-length background run.
+
+Every encode goes through one encoder, ``Mask.from_patch``. It takes a
+Patch, a dense grid placed in an image that is background elsewhere, so its
+cost follows the object's box rather than the frame. ``from_dense`` crops a
+full grid to its foreground's box and calls it; the boundary and dilation
+kernels and the synthetic scenes hand it their boxes directly.
 """
 
 from __future__ import annotations
@@ -42,14 +48,15 @@ class Mask:
     def __init__(self, width, height, runs):
         if width <= 0 or height <= 0:
             raise MaskError(f"mask dimensions must be positive, got {width}x{height}")
-        runs = tuple(int(r) for r in runs)
-        if any(r < 0 for r in runs):
+        runs = tuple(map(int, runs))
+        if runs and min(runs) < 0:
             raise MaskError("negative run length")
-        if any(r == 0 for r in runs[1:]):
+        if 0 in runs[1:]:
             raise MaskError("zero-length interior run (only the first run may be 0)")
-        if sum(runs) != width * height:
+        total = sum(runs)
+        if total != width * height:
             raise MaskError(
-                f"runs sum to {sum(runs)}, expected {width * height} for {width}x{height}"
+                f"runs sum to {total}, expected {width * height} for {width}x{height}"
             )
         object.__setattr__(self, "width", int(width))
         object.__setattr__(self, "height", int(height))
@@ -84,13 +91,40 @@ class Mask:
         if arr.ndim != 2 or arr.size == 0:
             raise MaskError(f"bitmap must be a non-empty 2D grid, got shape {arr.shape}")
         h, w = arr.shape
-        flat = arr.flatten(order="F")
-        changes = np.flatnonzero(np.diff(flat)) + 1
-        bounds = np.concatenate(([0], changes, [flat.size]))
-        runs = np.diff(bounds).tolist()
-        if flat[0]:
-            runs = [0] + runs
-        return cls(w, h, runs)
+        p = patch(arr)
+        return cls.empty(w, h) if p is None else cls.from_patch(p, w, h)
+
+    @classmethod
+    def from_patch(cls, p: Patch, width, height) -> "Mask":
+        """Encode a Patch placed in a (height, width) image that is
+        background elsewhere; canonical output, at a cost that follows the
+        patch's box, not the image.
+
+        Each box column, padded by one False pixel above and below, changes
+        value where a run starts or ends; box pixel (r, c) is image offset
+        (x0 + c) * height + y0 + r. Equal adjacent offsets are an end and a
+        start that meet where a run goes on from the last row of one column
+        to the first row of the next, so both are dropped.
+        """
+        h, w = p.grid.shape
+        if p.y0 < 0 or p.x0 < 0 or p.y0 + h > height or p.x0 + w > width:
+            raise MaskError(
+                f"patch of {w}x{h} at (x={p.x0}, y={p.y0}) does not fit in {width}x{height}"
+            )
+        padded = np.zeros((w, h + 2), dtype=bool)
+        padded[:, 1:-1] = p.grid.T
+        cols, rows = (padded[:, 1:] != padded[:, :-1]).nonzero()
+        offsets = cols * height + rows + (p.x0 * height + p.y0)
+        if offsets.size == 0:
+            return cls.empty(width, height)
+        joined = (offsets[1:] == offsets[:-1]).nonzero()[0]
+        if joined.size:
+            offsets = np.delete(offsets, np.concatenate((joined, joined + 1)))
+        runs = [int(offsets[0])] + (offsets[1:] - offsets[:-1]).tolist()
+        last = width * height - int(offsets[-1])
+        if last:  # else the last pixel is foreground: no trailing run
+            runs.append(last)
+        return cls(width, height, runs)
 
     @classmethod
     def empty(cls, width, height) -> "Mask":
@@ -238,27 +272,35 @@ class Patch(NamedTuple):
     def area(self) -> int:
         return int(np.count_nonzero(self.grid))
 
+    @property
+    def slices(self) -> tuple:
+        """The patch's box in the image, as (rows, columns) slices."""
+        h, w = self.grid.shape
+        return slice(self.y0, self.y0 + h), slice(self.x0, self.x0 + w)
+
 
 def patch(grid) -> Patch | None:
     """Crop a dense (height, width) grid to its foreground's bounding box;
     None when it has no foreground."""
-    rows = np.flatnonzero(grid.any(axis=1))
+    rows = grid.any(axis=1).nonzero()[0]
     if rows.size == 0:
         return None
-    cols = np.flatnonzero(grid.any(axis=0))
+    cols = grid.any(axis=0).nonzero()[0]
     y0, y1, x0, x1 = int(rows[0]), int(rows[-1]) + 1, int(cols[0]), int(cols[-1]) + 1
     return Patch(y0, x0, grid[y0:y1, x0:x1])
 
 
 def boundary_patch(grid) -> Patch | None:
     """Foreground pixels of a dense grid that are 4-adjacent to background or
-    to the image border. The box is padded by one False pixel per side: past
-    the box lies either background or the border, which both count as
-    outside."""
+    to the image border, in the box of the whole foreground. The box is
+    padded by one False pixel per side: past the box lies either background
+    or the border, which both count as outside."""
     p = patch(grid)
     if p is None:
         return None
-    padded = np.pad(p.grid, 1, constant_values=False)
+    h, w = p.grid.shape
+    padded = np.zeros((h + 2, w + 2), dtype=bool)
+    padded[1:-1, 1:-1] = p.grid
     interior = (
         padded[:-2, 1:-1]
         & padded[2:, 1:-1]
@@ -322,16 +364,11 @@ def count_inside(points: Patch, zone: Patch) -> int:
     return int(np.count_nonzero(a & b))
 
 
-def _patch_to_mask(p: Patch | None, width: int, height: int) -> Mask:
-    grid = np.zeros((height, width), dtype=bool)
-    if p is not None:
-        grid[p.y0 : p.y0 + p.grid.shape[0], p.x0 : p.x0 + p.grid.shape[1]] = p.grid
-    return Mask.from_dense(grid)
-
-
 def boundary(m: Mask) -> Mask:
     """Foreground pixels 4-adjacent to background or to the image border."""
-    return _patch_to_mask(boundary_patch(m.dense()), m.width, m.height)
+    if m.is_empty:
+        return m
+    return Mask.from_patch(boundary_patch(m.dense()), m.width, m.height)
 
 
 def dilate(m: Mask, radius: float) -> Mask:
@@ -341,4 +378,4 @@ def dilate(m: Mask, radius: float) -> Mask:
     if radius == 0 or m.is_empty:
         return m
     p = dilate_patch(patch(m.dense()), radius, m.height, m.width)
-    return _patch_to_mask(p, m.width, m.height)
+    return Mask.from_patch(p, m.width, m.height)

@@ -16,9 +16,10 @@ diagonal) pixels. They differ in the boundary and in the matching:
 
 Compare F between runs of this package, not with published DAVIS numbers.
 
-J and F are computed on dense boolean grids with numpy alone: J by pixel
-counts over the frame, F by the bounding-box-cropped boundary and
-row-segment disk dilation kernel in ``mask``. A GT frame's boundaries and
+J and F are computed on dense boolean grids with numpy alone: J counts the
+intersection inside the GT object's bounding box and the prediction over
+the frame, F uses the bounding-box-cropped boundary and row-segment disk
+dilation kernel in ``mask``. A GT frame's boxes, areas, boundaries and
 their dilations are prepared once (``prepare_frame``) and shared by every
 label map scored against that frame.
 """
@@ -34,7 +35,15 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import TrackmergeError
-from .mask import Mask, Patch, boundary_patch, check_same_shape, count_inside, dilate_patch
+from .mask import (
+    Mask,
+    Patch,
+    boundary_patch,
+    check_same_shape,
+    count_inside,
+    dilate_patch,
+    patch,
+)
 
 
 def default_boundary_tolerance(width, height) -> int:
@@ -45,7 +54,7 @@ def default_boundary_tolerance(width, height) -> int:
 def j_measure(pred: Mask, gt: Mask) -> float:
     """Region IoU with the evaluation convention empty-empty = 1."""
     check_same_shape(pred, gt)
-    return _region_similarity(pred.dense(), gt.dense())
+    return _region_similarity(pred.dense(), patch(gt.dense()), gt.area)
 
 
 def f_measure(pred: Mask, gt: Mask, tolerance: float) -> float:
@@ -62,10 +71,12 @@ def _check_tolerance(tolerance):
         raise TrackmergeError(f"tolerance must be >= 0, got {tolerance}")
 
 
-def _region_similarity(pred, gt) -> float:
-    """J of two same-shape dense boolean grids."""
-    inter = np.count_nonzero(pred & gt)
-    union = np.count_nonzero(pred) + np.count_nonzero(gt) - inter
+def _region_similarity(pred, box: Patch | None, area) -> float:
+    """J of a dense boolean grid against a same-shape GT given as its
+    foreground's box (None when empty) and its area: the intersection lies
+    in the box."""
+    inter = 0 if box is None else np.count_nonzero(pred[box.slices] & box.grid)
+    union = np.count_nonzero(pred) + area - inter
     return inter / union if union else 1.0
 
 
@@ -74,7 +85,8 @@ class GTObject(NamedTuple):
 
     object_id: int
     mask: Mask
-    dense: np.ndarray
+    box: Patch | None  # the mask in its bounding box, C-contiguous, for J
+    area: int
     boundary: Patch | None
     zone: Patch | None  # the boundary dilated by the tolerance
 
@@ -82,8 +94,11 @@ class GTObject(NamedTuple):
 def _prepare(object_id, gt: Mask, tolerance) -> GTObject:
     dense = gt.dense()
     gb = boundary_patch(dense)
-    zone = None if gb is None else dilate_patch(gb, tolerance, gt.height, gt.width)
-    return GTObject(object_id, gt, dense, gb, zone)
+    if gb is None:
+        return GTObject(object_id, gt, None, 0, None, None)
+    box = Patch(gb.y0, gb.x0, np.ascontiguousarray(dense[gb.slices]))
+    zone = dilate_patch(gb, tolerance, gt.height, gt.width)
+    return GTObject(object_id, gt, box, gt.area, gb, zone)
 
 
 def prepare_frame(gt_frame, ids, tolerance) -> list:
@@ -165,7 +180,7 @@ def score_frame(lm, gt, tolerance) -> list:
     for obj in gt:
         check_same_shape(lm, obj.mask)
         pred = lm.labels == obj.object_id
-        j = _region_similarity(pred, obj.dense)
+        j = _region_similarity(pred, obj.box, obj.area)
         out.append((j, _boundary_similarity(pred, obj, tolerance)))
     return out
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import cache
 from itertools import repeat
 
 import numpy as np
@@ -108,12 +109,13 @@ def _group_rows(keys):
     return ordered[starts], np.split(order, starts[1:])
 
 
-def _decide(sub, weights, group, ids, masks):
+def _decide(sub, weights, group, ids, overlaps):
     """What each candidate of one state selects and paints at its frame.
 
     ``sub`` is the state's (n, J, 5) sub-score tensor, ``group`` the
     candidates' indices into the rows of ``weights``, ``ids`` the track
-    object ids and ``masks`` the frame's proposal masks. Returns one
+    object ids and ``overlaps(a, b)`` whether the frame's proposals a and b
+    share a pixel. Returns one
     (selections, variants) pair per distinct choice of proposals, one per
     track; each variant lists the candidates, as positions in ``group``,
     that paint one label map from them.
@@ -149,7 +151,7 @@ def _decide(sub, weights, group, ids, masks):
         order = []  # per overlapping pair of tracks: is the first on top?
         for a in range(tracks):
             for b in range(a + 1, tracks):
-                if ious(run_table([masks[k[a]]]), foreground(masks[k[b]]))[0] == 0:
+                if not overlaps(k[a], k[b]):
                     continue  # no shared pixel
                 if np.array_equal(sub[k[a], a], sub[k[b], b]):
                     continue  # an exact tie for every candidate
@@ -199,12 +201,17 @@ def _walk(video, weights, objective) -> _Walk:
     for t in range(1, frames):
         prepared = prepare_frame(gt[t], gt_ids, tolerance)
         masks = [p.mask for p in manifest.proposals[t]]
+
+        @cache  # the frame's states share it
+        def overlaps(a, b, masks=masks):
+            return ious(run_table([masks[a]]), foreground(masks[b]))[0] > 0
+
         for key, group in zip(*_group_rows(selected)):
             states += 1
             if masks:
                 previous = first if t == 1 else [empty if k < 0 else before[k] for k in key]
                 sub = scorer(t, previous)
-                choices = _decide(sub, weights, group, ids, masks)
+                choices = _decide(sub, weights, group, ids, overlaps)
             else:
                 choices = [(np.full(len(ids), -1), [np.arange(len(group))])]
             for k, variants in choices:

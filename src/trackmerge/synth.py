@@ -7,6 +7,10 @@ vector is minus the object's velocity; everywhere else it points far outside
 the image so background samples resolve to background. This makes
 warp_mask(gt[t-1], flow[t]) == gt[t] bit-exact whenever objects stay
 pairwise disjoint.
+
+Every shape is drawn in its own box (a mask.Patch) and encoded from it, so
+a shape costs in proportion to its box, not to the image; only the flow
+fields are full-image arrays.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from .errors import TrackmergeError
 from .flow import FlowField, save_flo
 from .labelmap import paint, write_frames
 from .manifest import GroundTruthObject, Proposal, VideoManifest, save_manifest
-from .mask import Mask
+from .mask import Mask, Patch
 
 
 @dataclass(frozen=True)
@@ -77,20 +81,23 @@ class SynthResult:
     gt_all_frames: list  # per frame: {object_id: Mask}
 
 
-def _shape_mask(spec: ShapeSpec, t: int, width, height) -> Mask:
+def _shape_patch(spec: ShapeSpec, t: int) -> Patch:
+    """The shape at frame t, drawn in its (w, h) box at its position. The
+    ellipse has no pixel outside the box: the columns just outside lie
+    (w + 1) / 2 from its centre, beyond the radius w / 2, and the rows
+    likewise."""
     x, y = spec.position(t)
     w, h = spec.size
-    grid = np.zeros((height, width), dtype=bool)
     if spec.shape == "rect":
-        grid[y : y + h, x : x + w] = True
+        grid = np.ones((h, w), dtype=bool)
     elif spec.shape == "ellipse":
-        yy, xx = np.mgrid[0:height, 0:width]
+        yy, xx = np.mgrid[y : y + h, x : x + w]
         cx, cy = x + (w - 1) / 2, y + (h - 1) / 2
         rx, ry = w / 2, h / 2
         grid = ((xx - cx) / rx) ** 2 + ((yy - cy) / ry) ** 2 <= 1.0
     else:
         raise TrackmergeError(f"unknown shape '{spec.shape}'")
-    return Mask.from_dense(grid)
+    return Patch(y, x, grid)
 
 
 def _unit_vector(rng, dim) -> np.ndarray:
@@ -103,9 +110,7 @@ def _rand_rect(rng, spec: ScenarioSpec) -> Mask:
     h = int(rng.integers(2, max(3, spec.height // 3)))
     x = int(rng.integers(0, spec.width - w + 1))
     y = int(rng.integers(0, spec.height - h + 1))
-    grid = np.zeros((spec.height, spec.width), dtype=bool)
-    grid[y : y + h, x : x + w] = True
-    return Mask.from_dense(grid)
+    return Mask.from_patch(Patch(y, x, np.ones((h, w), dtype=bool)), spec.width, spec.height)
 
 
 def generate(spec: ScenarioSpec) -> SynthResult:
@@ -125,21 +130,18 @@ def generate(spec: ScenarioSpec) -> SynthResult:
             archetypes.append(_unit_vector(rng, dim))
     n_obj = len(spec.objects)
 
-    gt_all_frames = []
-    for t in range(spec.frame_count):
-        gt_all_frames.append(
-            {
-                j + 1: _shape_mask(s, t, spec.width, spec.height)
-                for j, s in enumerate(spec.objects)
-            }
-        )
+    # gt_patches[t][j]: object j + 1 at frame t, in its box
+    gt_patches = [[_shape_patch(s, t) for s in spec.objects] for t in range(spec.frame_count)]
+    gt_all_frames = [
+        {j + 1: Mask.from_patch(p, spec.width, spec.height) for j, p in enumerate(patches)}
+        for patches in gt_patches
+    ]
 
     flows = []
     for t in range(1, spec.frame_count):
         vec = np.full((spec.height, spec.width, 2), (far, 0.0), dtype=np.float32)
-        for j, s in enumerate(spec.objects):
-            region = gt_all_frames[t][j + 1].dense()
-            vec[region] = (-s.velocity[0], -s.velocity[1])
+        for s, p in zip(spec.objects, gt_patches[t]):
+            vec[p.slices][p.grid] = (-s.velocity[0], -s.velocity[1])
         flows.append(FlowField(spec.width, spec.height, vec))
 
     def noisy(arch):
@@ -156,13 +158,13 @@ def generate(spec: ScenarioSpec) -> SynthResult:
                 Proposal(t, m, m.bbox(), s.objectness, noisy(archetypes[j]))
             )
         for k, s in enumerate(spec.planted):
-            m = _shape_mask(s, t, spec.width, spec.height)
+            m = Mask.from_patch(_shape_patch(s, t), spec.width, spec.height)
             frame.append(
                 Proposal(t, m, m.bbox(), s.objectness, noisy(archetypes[n_obj + k]))
             )
         for j, s in enumerate(spec.objects):
             if spec.spurious_rate > 0 and rng.random() < spec.spurious_rate:
-                shifted = _shift_mask(gt_all_frames[t][j + 1], rng)
+                shifted = _shift_mask(gt_patches[t][j], rng, spec.width, spec.height)
                 if shifted is not None:
                     obj = float(np.clip(s.objectness - rng.uniform(0.05, 0.3), 0.01, 1))
                     emb = archetypes[j] + max(spec.embedding_noise, 0.05) * rng.standard_normal(dim)
@@ -195,18 +197,19 @@ def generate(spec: ScenarioSpec) -> SynthResult:
     return SynthResult(manifest, gt_all_frames)
 
 
-def _shift_mask(m: Mask, rng) -> Mask | None:
+def _shift_mask(p: Patch, rng, width, height) -> Mask | None:
+    """The patch moved by a random (dx, dy) in [-2, 2] and cut to the
+    (height, width) image; None when none of its pixels is left."""
     dx, dy = (int(v) for v in rng.integers(-2, 3, size=2))
-    grid = m.dense()
-    shifted = np.zeros_like(grid)
-    h, w = grid.shape
-    ys, xs = np.nonzero(grid)
-    ys, xs = ys + dy, xs + dx
-    keep = (ys >= 0) & (ys < h) & (xs >= 0) & (xs < w)
-    if not keep.any():
+    h, w = p.grid.shape
+    y, x = p.y0 + dy, p.x0 + dx  # the moved box's top left
+    y0, x0, y1, x1 = max(y, 0), max(x, 0), min(y + h, height), min(x + w, width)
+    if y0 >= y1 or x0 >= x1:
         return None
-    shifted[ys[keep], xs[keep]] = True
-    return Mask.from_dense(shifted)
+    grid = p.grid[y0 - y : y1 - y, x0 - x : x1 - x]
+    if not grid.any():
+        return None
+    return Mask.from_patch(Patch(y0, x0, grid), width, height)
 
 
 def gt_label_maps(result: SynthResult) -> list:
@@ -319,7 +322,8 @@ def _disjoint(objects, frame_count, width, height) -> bool:
     for t in range(frame_count):
         total = np.zeros((height, width), dtype=int)
         for s in objects:
-            total += _shape_mask(s, t, width, height).dense()
+            p = _shape_patch(s, t)
+            total[p.slices] += p.grid
         if (total > 1).any():
             return False
     return True

@@ -123,6 +123,23 @@ class TestLoad:
             tmp_path, lambda m: m["frames"][0][0].update(embedding="x"), "embedding"
         )
 
+    @pytest.mark.parametrize(
+        "rle", [[0, True, 11], [0, 3.0, 9], [0, "3", 9], [[0], 3, 9], [0, None, 12], "0 3 9"]
+    )
+    def test_rle_elements_not_integers(self, tmp_path, rle):
+        self.check_rejected(
+            tmp_path,
+            lambda m: m["frames"][0][0].update(rle=rle),
+            r"frames\[0\]\[0\]\.rle: expected an integer array",
+        )
+
+    def test_ground_truth_rle_with_a_boolean(self, tmp_path):
+        self.check_rejected(
+            tmp_path,
+            lambda m: m["ground_truth"][0].update(rle=[False, 3, 9]),
+            r"ground_truth\[0\]\.rle: expected an integer array",
+        )
+
     def test_frames_not_a_list_of_lists(self, tmp_path):
         self.check_rejected(tmp_path, lambda m: m.update(frames=5), "frames")
 

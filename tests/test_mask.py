@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trackmerge.errors import MaskError
-from trackmerge.mask import BBox, Mask, boundary, dilate, intersection_area, iou
+from trackmerge.mask import BBox, Mask, Patch, boundary, dilate, intersection_area, iou
+
+ENCODER = settings(max_examples=300, deadline=None, derandomize=True)
 
 
 def random_mask(rng, w=16, h=16, p=0.4):
@@ -39,6 +43,140 @@ class TestRLE:
     def test_leading_zero_allowed(self):
         m = Mask(2, 2, [0, 4])
         assert m.area == 4
+
+
+def ref_encode(grid):
+    """The flatten-and-diff encoder: cut the column-major pixels where their
+    value changes, with a leading 0 when the first pixel is foreground."""
+    flat = grid.flatten(order="F")
+    changes = np.flatnonzero(np.diff(flat)) + 1
+    runs = np.diff(np.concatenate(([0], changes, [flat.size]))).tolist()
+    return [0] + runs if flat[0] else runs
+
+
+def placed(p, width, height):
+    """The full (height, width) grid of a Patch."""
+    grid = np.zeros((height, width), bool)
+    grid[p.y0 : p.y0 + p.grid.shape[0], p.x0 : p.x0 + p.grid.shape[1]] = p.grid
+    return grid
+
+
+@st.composite
+def placed_patches(draw):
+    """(Patch, width, height): a box anywhere in a 1..10 x 1..10 image,
+    mostly foreground or of random content."""
+    height, width = draw(st.integers(1, 10)), draw(st.integers(1, 10))
+    y0, x0 = draw(st.integers(0, height - 1)), draw(st.integers(0, width - 1))
+    h, w = draw(st.integers(1, height - y0)), draw(st.integers(1, width - x0))
+    if draw(st.booleans()):
+        grid = np.ones((h, w), bool)
+        for y, x in draw(st.lists(st.tuples(st.integers(0, h - 1), st.integers(0, w - 1)))):
+            grid[y, x] = False
+    else:
+        grid = np.array(draw(st.lists(st.booleans(), min_size=h * w, max_size=h * w)), bool)
+    return Patch(y0, x0, grid.reshape(h, w)), width, height
+
+
+class TestFromPatch:
+    # (height, width, y0, x0, h, w): each border, full-height boxes whose
+    # runs join across columns, the whole image, 1x1, 1xN and Nx1 images
+    BOXES = [
+        (7, 9, 0, 3, 2, 4),  # top
+        (7, 9, 5, 3, 2, 4),  # bottom
+        (7, 9, 2, 0, 3, 2),  # left
+        (7, 9, 2, 7, 3, 2),  # right
+        (7, 9, 0, 0, 1, 1),  # top-left pixel
+        (7, 9, 6, 8, 1, 1),  # bottom-right pixel
+        (7, 9, 0, 2, 7, 4),  # full height
+        (7, 9, 0, 0, 7, 3),  # full height from the left border
+        (7, 9, 0, 6, 7, 3),  # full height to the right border
+        (7, 9, 0, 0, 7, 9),  # the whole image
+        (1, 1, 0, 0, 1, 1),
+        (1, 6, 0, 2, 1, 3),  # one row: every column is full height
+        (1, 6, 0, 0, 1, 6),
+        (6, 1, 1, 0, 3, 1),  # one column
+        (6, 1, 0, 0, 6, 1),
+    ]
+
+    @pytest.mark.parametrize("height,width,y0,x0,h,w", BOXES)
+    def test_equals_from_dense_of_the_placed_grid(self, height, width, y0, x0, h, w):
+        rng = np.random.default_rng(height * 100 + y0 * 10 + x0)
+        grids = [np.ones((h, w), bool), rng.random((h, w)) < 0.5, rng.random((h, w)) < 0.9]
+        for grid in grids:
+            p = Patch(y0, x0, grid)
+            m = Mask.from_patch(p, width, height)
+            assert m == Mask.from_dense(placed(p, width, height))
+            assert list(m.runs) == ref_encode(placed(p, width, height))
+
+    def test_full_height_runs_join(self):
+        m = Mask.from_patch(Patch(0, 2, np.ones((7, 4), bool)), 9, 7)
+        assert m.runs == (14, 28, 21)
+        assert Mask.from_patch(Patch(0, 0, np.ones((7, 9), bool)), 9, 7).runs == (0, 63)
+
+    @ENCODER
+    @given(placed_patches())
+    def test_random_boxes(self, case):
+        p, width, height = case
+        m = Mask.from_patch(p, width, height)
+        assert list(m.runs) == ref_encode(placed(p, width, height))
+        assert np.array_equal(m.dense(), placed(p, width, height))
+
+    @pytest.mark.parametrize("y0,x0,h,w", [(0, 0, 3, 4), (2, 5, 1, 1), (0, 0, 5, 9)])
+    def test_all_false_patch_is_empty(self, y0, x0, h, w):
+        m = Mask.from_patch(Patch(y0, x0, np.zeros((h, w), bool)), 9, 5)
+        assert m == Mask.empty(9, 5)
+
+    @pytest.mark.parametrize(
+        "y0,x0,h,w", [(-1, 0, 2, 2), (0, -1, 2, 2), (4, 0, 2, 2), (0, 8, 2, 2), (0, 0, 6, 9)]
+    )
+    def test_patch_outside_the_image_rejected(self, y0, x0, h, w):
+        with pytest.raises(MaskError, match="does not fit in 9x5"):
+            Mask.from_patch(Patch(y0, x0, np.ones((h, w), bool)), 9, 5)
+
+
+class TestFromDense:
+    @ENCODER
+    @given(placed_patches())
+    def test_equals_the_flatten_and_diff_encoder(self, case):
+        p, width, height = case
+        grid = placed(p, width, height)
+        assert list(Mask.from_dense(grid).runs) == ref_encode(grid)
+        assert list(Mask.from_dense(np.asfortranarray(grid)).runs) == ref_encode(grid)
+
+    def test_empty_grid(self):
+        assert Mask.from_dense(np.zeros((3, 5), bool)) == Mask.empty(5, 3)
+
+    @pytest.mark.parametrize("shape", [(0, 3), (3, 0), (4,), (2, 2, 2)])
+    def test_not_a_non_empty_2d_grid(self, shape):
+        with pytest.raises(MaskError, match="non-empty 2D grid"):
+            Mask.from_dense(np.ones(shape, bool))
+
+
+class TestConstructor:
+    @pytest.mark.parametrize(
+        "width,height,runs,message",
+        [
+            (0, 2, [0], "dimensions must be positive, got 0x2"),
+            (2, -1, [], "dimensions must be positive, got 2x-1"),
+            (2, 2, [1, -1, 4], "negative run length"),
+            (2, 2, [-1, 5], "negative run length"),
+            (2, 2, [1, 0, 3], r"zero-length interior run \(only the first run may be 0\)"),
+            (2, 2, [0, 0, 4], "zero-length interior run"),
+            (2, 2, [3], r"runs sum to 3, expected 4 for 2x2"),
+            (2, 2, [], r"runs sum to 0, expected 4 for 2x2"),
+            (3, 2, [2, 5], r"runs sum to 7, expected 6 for 3x2"),
+        ],
+    )
+    def test_messages(self, width, height, runs, message):
+        with pytest.raises(MaskError, match=message):
+            Mask(width, height, runs)
+
+    def test_numpy_integer_runs(self):
+        for runs in (np.array([1, 2, 1]), [np.int32(1), np.int64(2), np.uint8(1)]):
+            m = Mask(2, 2, runs)
+            assert m.runs == (1, 2, 1)
+            assert all(type(r) is int for r in m.runs)
+            assert m == Mask(2, 2, [1, 2, 1])
 
 
 class TestIoU:

@@ -92,6 +92,110 @@ class TestGenerate:
         assert 0 < m.area < 24  # inside the 6x4 bounding box
 
 
+def generate_digest(result):
+    """sha256 over everything generate() returns: each proposal's runs,
+    bbox, objectness and embedding, the GT objects, the flow fields and the
+    full-video GT masks."""
+    h = hashlib.sha256()
+    m = result.manifest
+    h.update(repr((m.video_id, m.width, m.height, m.frame_count)).encode())
+    for frame in m.proposals:
+        for p in frame:
+            b = p.bbox
+            box = (b.x0, b.y0, b.x1, b.y1)
+            h.update(repr((p.mask.width, p.mask.height, p.mask.runs, box, p.objectness)).encode())
+            h.update(np.asarray(p.embedding, np.float64).tobytes())
+    for g in m.ground_truth:
+        h.update(repr((g.object_id, g.first_frame_mask.runs)).encode())
+        h.update(np.asarray(g.embedding, np.float64).tobytes())
+    for f in m.preloaded_flows:
+        h.update(f.vectors.tobytes())
+    for frame in result.gt_all_frames:
+        for j, mask in sorted(frame.items()):
+            h.update(repr((j, mask.runs)).encode())
+    return h.hexdigest()
+
+
+def wide_spec():
+    """854x480, three objects touching the top, left and bottom borders,
+    a planted rectangle, distractors and frequent spurious copies."""
+    return ScenarioSpec(
+        seed=5,
+        frame_count=4,
+        width=854,
+        height=480,
+        objects=(
+            ShapeSpec("ellipse", (150, 110), (0, 40), (4, 2)),
+            ShapeSpec("rect", (110, 150), (742, 330), (-6, 0)),
+            ShapeSpec("ellipse", (120, 120), (360, 0), (0, 3)),
+        ),
+        planted=(ShapeSpec("rect", (150, 110), (500, 200), (0, 0), objectness=0.8),),
+        distractor_count=6,
+        embedding_noise=0.05,
+        spurious_rate=0.6,
+        video_id="wide",
+    )
+
+
+def tall_spec():
+    """Objects as tall as the image, so their runs join across columns."""
+    return ScenarioSpec(
+        seed=3,
+        frame_count=3,
+        width=12,
+        height=8,
+        objects=(
+            ShapeSpec("rect", (3, 8), (0, 0), (1, 0)),
+            ShapeSpec("ellipse", (4, 8), (8, 0), (-1, 0)),
+        ),
+        distractor_count=3,
+        embedding_noise=0.05,
+        spurious_rate=0.8,
+        video_id="tall",
+    )
+
+
+class TestGoldenDigests:
+    """generate() output, pinned before the shapes were drawn in their
+    boxes instead of over the whole frame."""
+
+    CROSSING = [
+        "8f03f48bb082ced8c6001599b220640303db251f6736dce01a47fc71fd09041d",
+        "7e2eb0962627fd45b6a7c2006e75d781d14686289f87a3f34eb29373a4ff6b6f",
+        "deb2095caccc64dfa55d455e43b5da4a953204ea7b5efa72fea1abd5294be3c7",
+    ]
+    RANDOM = [
+        "5d45cc6a6a6d564d358a5febd32cf66240a823184456076adb55dd41b3960d93",
+        "22f4c4120368159dfc227cf261cca35e948009e42971588505dcdae020b4d3dd",
+        "fbe5d1221814cdcaab02df2f40a9d2a225ccc70095f99483c3a2da7ce41426cb",
+        "51fcc2a2c52d5f75192884e33503fb47690efac0f6335320e4a5039cd545824b",
+        "f03afdea8a98f5b6e816d7d4616a04d974490865079a5c6887c1d91f140a5db6",
+        "c8150cb79176095c276680b2ef5974a5cc08b8bb2fdee2e3459ba8b6dd8a7b51",
+        "5d1b9f6b0f3c739d2bb7a1f0352b333d584f9707d3fc0aa843c2e464b7a7548b",
+        "5fa05185f75f65ea8198edeb0047e171af978d480bf21d050e3fd795239bd7b7",
+        "9acbe25a6aac29f92a096acb1ab81f7871286c3c7d5e3e02e68e3265f2c984bd",
+        "1cccb3eb4850426cee222f0989a07892febcc6504eb0020a19bade4cc4f2bd23",
+    ]
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_crossing(self, seed):
+        assert generate_digest(generate(crossing_scenario(seed))) == self.CROSSING[seed]
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_random_scenario(self, seed):
+        assert generate_digest(generate(random_scenario(seed))) == self.RANDOM[seed]
+
+    def test_wide_three_objects(self):
+        assert generate_digest(generate(wide_spec())) == (
+            "11afc56ec2de79234011a9f3bda8892e3e6623f57b8cc3344921b7c42bb82fe3"
+        )
+
+    def test_full_height_objects(self):
+        assert generate_digest(generate(tall_spec())) == (
+            "488f76a8506d7b0e0a8ef6f160613f26ffc224ef6cc33b3316e6f4dc57d20a97"
+        )
+
+
 class TestRandomScenario:
     # sha256 over repr(random_scenario(seed, **kwargs)) for seeds 0-999,
     # recorded before the speeds were capped: the specs that the

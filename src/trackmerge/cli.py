@@ -95,8 +95,11 @@ def load_gt_dir(path):
     """Read a directory of per-frame GT label-map PGMs into the per-frame
     {object_id: Mask} layout used by evaluation and oracle merging."""
     maps = read_frames(path)
-    ids = sorted(set(np.unique(np.stack([m.labels for m in maps]))) - {0})
-    if not ids:
+    present = np.zeros(256, dtype=bool)  # labels are bytes
+    for lm in maps:
+        present |= np.bincount(lm.labels.ravel(), minlength=256) > 0
+    ids = np.flatnonzero(present[1:]) + 1
+    if not ids.size:
         raise TrackmergeError(f"{path}: ground truth contains no objects")
     return [{int(j): lm.object_mask(int(j)) for j in ids} for lm in maps]
 
@@ -131,9 +134,8 @@ def _resolve_weights(args) -> WeightVector:
     return parse_weights(args.weights)
 
 
-def _merge_one(manifest_path, weights, active, out_dir):
-    m = load_manifest(manifest_path)
-    save_trackset(greedy_merge(m, weights, active), out_dir)
+def _merge_one(manifest, weights, active, out_dir):
+    save_trackset(greedy_merge(manifest, weights, active), out_dir)
 
 
 def cmd_merge(args):
@@ -141,17 +143,17 @@ def cmd_merge(args):
     active = parse_components(args.components) if args.components else (True,) * 5
     effective_weights(weights, active)  # reject empty/invalid combos up front
     jobs = _jobs(args)
-    if jobs > 1 and len(args.manifest) > 1:
+    # load and check every manifest before the first write, so that a bad one
+    # leaves --out alone
+    manifests = [load_manifest(p) for p in args.manifest]
+    if jobs > 1 and len(manifests) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            tasks = [
-                pool.submit(_merge_one, p, weights, active, args.out)
-                for p in args.manifest
-            ]
+            tasks = [pool.submit(_merge_one, m, weights, active, args.out) for m in manifests]
             for t in tasks:
                 t.result()
     else:
-        for p in args.manifest:
-            _merge_one(p, weights, active, args.out)
+        for m in manifests:
+            _merge_one(m, weights, active, args.out)
 
 
 def cmd_oracle(args):

@@ -13,28 +13,38 @@ FLO_MAGIC = 202021.25
 
 
 class FlowField:
-    """Dense per-pixel (dx, dy) displacements, float32, row-major.
+    """Dense per-pixel (dx, dy) displacements, float32.
 
     Used as a backward field: the vector at pixel (x, y) of frame t points to
     the source location (x + dx, y + dy) in frame t-1.
+
+    The field is stored as ``planes``, a C-contiguous (2, width, height)
+    array: one column-major plane per component, the layout of masks and of
+    ``source_pairs``. ``vectors`` is its read-only (height, width, 2) view.
     """
 
-    __slots__ = ("width", "height", "vectors")
+    __slots__ = ("width", "height", "planes")
 
     def __init__(self, width, height, vectors):
-        vectors = np.ascontiguousarray(vectors, dtype=np.float32)
+        vectors = np.asarray(vectors, dtype=np.float32)
         if width <= 0 or height <= 0:
             raise FlowError(f"flow dimensions must be positive, got {width}x{height}")
         if vectors.shape != (height, width, 2):
             raise FlowError(
                 f"flow grid shape {vectors.shape} does not match {width}x{height}"
             )
-        if not np.isfinite(vectors).all():
+        # no copy when vectors is already the (h, w, 2) view of such planes
+        planes = np.ascontiguousarray(vectors.transpose(2, 1, 0))
+        if not np.isfinite(planes).all():
             raise FlowError("flow field contains non-finite values")
-        vectors.setflags(write=False)
+        planes.setflags(write=False)
         object.__setattr__(self, "width", int(width))
         object.__setattr__(self, "height", int(height))
-        object.__setattr__(self, "vectors", vectors)
+        object.__setattr__(self, "planes", planes)
+
+    @property
+    def vectors(self) -> np.ndarray:
+        return self.planes.transpose(2, 1, 0)
 
     def __setattr__(self, name, value):
         raise AttributeError("FlowField is immutable")
@@ -44,7 +54,7 @@ class FlowField:
 
     @classmethod
     def zero(cls, width, height) -> "FlowField":
-        return cls(width, height, np.zeros((height, width, 2), np.float32))
+        return cls(width, height, np.zeros((2, width, height), np.float32).transpose(2, 1, 0))
 
 
 def load_flo(path) -> FlowField:
@@ -65,16 +75,17 @@ def load_flo(path) -> FlowField:
             f"truncated .flo payload in {path}: {len(payload)} bytes, expected {expected}"
         )
     data = np.frombuffer(payload, dtype="<f4").reshape((h, w, 2))
-    if not np.isfinite(data).all():
-        raise FlowError(f"non-finite flow values in {path}")
-    return FlowField(w, h, data)
+    try:  # the header is checked, so only a non-finite value is left to fail
+        return FlowField(w, h, data)
+    except FlowError:
+        raise FlowError(f"non-finite flow values in {path}") from None
 
 
 def save_flo(field: FlowField, path):
     """Write a .flo file; load_flo(save_flo(f)) is byte-identical."""
     with open(path, "wb") as f:
         f.write(struct.pack("<fii", FLO_MAGIC, field.width, field.height))
-        f.write(np.ascontiguousarray(field.vectors, dtype="<f4").tobytes())
+        f.write(field.vectors.astype("<f4", copy=False).tobytes())
 
 
 def source_pairs(backward_flow: FlowField) -> tuple[np.ndarray, np.ndarray]:
@@ -89,8 +100,8 @@ def source_pairs(backward_flow: FlowField) -> tuple[np.ndarray, np.ndarray]:
     """
     h, w = backward_flow.height, backward_flow.width
     index = np.int32 if h * w < 2**31 else np.intp
-    # one column-major copy per component makes every later pass contiguous
-    dx, dy = (np.ascontiguousarray(backward_flow.vectors[..., c].T) for c in (0, 1))
+    # the flow's (width, height) planes: every pass runs in column-major order
+    dx, dy = backward_flow.planes
     x = np.arange(w, dtype=np.float32)[:, None]
     y = np.arange(h, dtype=np.float32)
     inside = (dx > -0.5 - x) & (dx < w - 0.5 - x) & (dy > -0.5 - y) & (dy < h - 0.5 - y)

@@ -43,7 +43,7 @@ class BBox:
 class Mask:
     """Immutable binary mask of shape (height, width)."""
 
-    __slots__ = ("width", "height", "runs", "_dense")
+    __slots__ = ("width", "height", "runs", "_dense", "_bounds")
 
     def __init__(self, width, height, runs):
         if width <= 0 or height <= 0:
@@ -62,6 +62,7 @@ class Mask:
         object.__setattr__(self, "height", int(height))
         object.__setattr__(self, "runs", runs)
         object.__setattr__(self, "_dense", None)
+        object.__setattr__(self, "_bounds", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Mask is immutable")
@@ -142,9 +143,20 @@ class Mask:
             object.__setattr__(self, "_dense", grid)
         return self._dense
 
+    def bounds(self) -> np.ndarray:
+        """Where each run ends, as a column-major offset: the cumulative sum
+        of ``runs``, int64 (cached). Foreground run i spans
+        [bounds[2i], bounds[2i + 1])."""
+        if self._bounds is None:
+            bounds = np.fromiter(self.runs, np.int64, len(self.runs)).cumsum()
+            bounds.setflags(write=False)
+            object.__setattr__(self, "_bounds", bounds)
+        return self._bounds
+
     @property
     def area(self) -> int:
-        return int(sum(self.runs[1::2]))
+        b = self.bounds()
+        return int(b[1::2].sum() - b[0:-1:2].sum())
 
     @property
     def is_empty(self) -> bool:
@@ -154,9 +166,8 @@ class Mask:
         """Tightest box containing all foreground pixels."""
         if self.is_empty:
             raise MaskError("empty mask has no bounding box")
-        h = self.height
-        runs = run_table([self])
-        first, last = runs.starts, runs.ends - 1  # per foreground run
+        h, b = self.height, self.bounds()
+        first, last = b[0:-1:2], b[1::2] - 1  # per foreground run
         if (first // h != last // h).any():  # a run that wraps spans all rows
             y0, y1 = 0, h
         else:
@@ -174,8 +185,7 @@ def check_same_shape(a: Mask, b: Mask):
 def intersection_area(a: Mask, b: Mask) -> int:
     """Pixel count of a AND b, computed directly on the run lengths."""
     check_same_shape(a, b)
-    ca = np.cumsum(a.runs)
-    cb = np.cumsum(b.runs)
+    ca, cb = a.bounds(), b.bounds()
     ends = np.union1d(ca, cb)
     starts = np.concatenate(([0], ends[:-1]))
     lengths = ends - starts
@@ -209,15 +219,19 @@ def iou(a: Mask, b: Mask, empty_empty: float = 0.0) -> float:
 
 def column_major(m: Mask) -> np.ndarray:
     """The mask's pixels as a boolean array in column-major order."""
-    return np.repeat(np.arange(len(m.runs)) % 2 == 1, m.runs)
+    b = m.bounds()
+    lengths = b.copy()
+    lengths[1:] -= b[:-1]
+    return np.repeat(np.arange(len(b)) % 2 == 1, lengths)
 
 
 def foreground(m: Mask) -> np.ndarray:
     """Ascending column-major flat indices of the mask's foreground pixels."""
-    table = run_table([m])
-    lengths = table.ends - table.starts
+    b = m.bounds()
+    starts, ends = b[0:-1:2], b[1::2]
+    lengths = ends - starts
     # the k-th foreground pixel, in run i, is pixel k + ends[i] - cumsum(lengths)[i]
-    return np.arange(table.areas[0]) + np.repeat(table.ends - np.cumsum(lengths), lengths)
+    return np.arange(m.area) + np.repeat(ends - np.cumsum(lengths), lengths)
 
 
 class RunTable(NamedTuple):
@@ -231,16 +245,13 @@ class RunTable(NamedTuple):
 
 
 def run_table(masks) -> RunTable:
-    bounds = [np.cumsum(m.runs) for m in masks]
-    starts = [c[0:-1:2] for c in bounds]
-    ends = [c[1::2] for c in bounds]
-    counts = [len(e) for e in ends]
-    return RunTable(
-        np.concatenate(starts),
-        np.concatenate(ends),
-        np.concatenate(([0], np.cumsum(counts))),
-        np.array([m.area for m in masks]),
-    )
+    bounds = [m.bounds() for m in masks]
+    starts = np.concatenate([b[0:-1:2] for b in bounds])
+    ends = np.concatenate([b[1::2] for b in bounds])
+    first = np.concatenate(([0], np.cumsum([len(b) // 2 for b in bounds])))
+    # each mask's area: the sum of its runs' lengths
+    cum = np.concatenate(([0], np.cumsum(ends - starts)))
+    return RunTable(starts, ends, first, cum[first[1:]] - cum[first[:-1]])
 
 
 def ious(table: RunTable, fg: np.ndarray) -> np.ndarray:

@@ -7,6 +7,7 @@ two inverse scores penalizing similarity to competing tracks. All live in
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,9 +87,13 @@ def embedding_distances(manifest) -> list:
     """Per frame, the (proposals, objects) array of Euclidean distances from
     each proposal embedding to each GT object embedding."""
     gt = manifest.ground_truth
+
+    def norm(d):  # what np.linalg.norm computes for a 1-D real vector
+        return math.sqrt(d.dot(d))
+
     return [
         np.array(
-            [[float(np.linalg.norm(p.embedding - g.embedding)) for g in gt] for p in frame]
+            [[norm(p.embedding - g.embedding) for g in gt] for p in frame]
         ).reshape(len(frame), len(gt))
         for frame in manifest.proposals
     ]

@@ -10,7 +10,7 @@ pairwise disjoint.
 
 Every shape is drawn in its own box (a mask.Patch) and encoded from it, so
 a shape costs in proportion to its box, not to the image; only the flow
-fields are full-image arrays.
+fields are full-image arrays, built in FlowField's column-major layout.
 """
 
 from __future__ import annotations
@@ -139,7 +139,10 @@ def generate(spec: ScenarioSpec) -> SynthResult:
 
     flows = []
     for t in range(1, spec.frame_count):
-        vec = np.full((spec.height, spec.width, 2), (far, 0.0), dtype=np.float32)
+        # FlowField's own column-major planes, painted through their (h, w, 2) view
+        planes = np.zeros((2, spec.width, spec.height), dtype=np.float32)
+        planes[0] = far
+        vec = planes.transpose(2, 1, 0)
         for s, p in zip(spec.objects, gt_patches[t]):
             vec[p.slices][p.grid] = (-s.velocity[0], -s.velocity[1])
         flows.append(FlowField(spec.width, spec.height, vec))

@@ -199,6 +199,22 @@ class TestPipeline:
         assert len(os.listdir(serial)) == 2
         assert tree_bytes(serial) == tree_bytes(parallel)
 
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_merge_checks_every_manifest_before_writing(self, tmp_path, capsys, jobs):
+        data = tmp_path / "data"
+        run("synth", "--out", str(data), "--preset", "crossing", "--seed", "0")
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"width": 3}))
+        out = tmp_path / "o"
+        code = run(
+            "merge", "--manifest", str(data / "manifest.json"), str(bad),
+            "--out", str(out), "--jobs", jobs,
+        )
+        assert code == 1
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1 and json.loads(lines[0])["error"] == "ManifestError"
+        assert not out.exists() or not os.listdir(out)
+
     @pytest.mark.parametrize("samples", ["2", "7"])
     def test_search_reads_each_flow_file_once(self, tmp_path, monkeypatch, samples):
         from trackmerge import manifest as manifest_module

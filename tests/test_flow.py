@@ -1,10 +1,12 @@
+import pickle
 import struct
 
 import numpy as np
 import pytest
 
+from naive_reference import naive_round_half_away
 from trackmerge.errors import FlowError, MaskError
-from trackmerge.flow import FLO_MAGIC, FlowField, load_flo, save_flo, warp_mask
+from trackmerge.flow import FLO_MAGIC, FlowField, load_flo, save_flo, source_pairs, warp_mask
 from trackmerge.mask import Mask
 
 
@@ -108,3 +110,91 @@ class TestWarp:
         grid[0, 1] = True
         out = warp_mask(Mask.from_dense(grid), uniform_flow(3, 1, 0.5, 0))
         assert bool(out.dense()[0, 0])
+
+
+# the same (h, w, 2) field as C-ordered, Fortran-ordered, float64 and
+# transposed-view arrays
+LAYOUTS = {
+    "c": np.ascontiguousarray,
+    "fortran": np.asfortranarray,
+    "float64": lambda v: v.astype(np.float64),
+    "planes view": lambda v: np.ascontiguousarray(v.transpose(2, 1, 0)).transpose(2, 1, 0),
+    "swapped view": lambda v: np.ascontiguousarray(v.transpose(1, 0, 2)).transpose(1, 0, 2),
+}
+
+
+class TestLayout:
+    vec = np.random.default_rng(3).uniform(-4, 4, (3, 5, 2)).astype(np.float32)
+
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    def test_vectors_equal_the_input(self, layout):
+        f = FlowField(5, 3, LAYOUTS[layout](self.vec))
+        assert f.vectors.shape == (3, 5, 2) and f.vectors.dtype == np.float32
+        assert np.array_equal(f.vectors, self.vec)
+        assert f.vectors.tobytes() == self.vec.tobytes()
+        assert f.planes.shape == (2, 5, 3) and f.planes.flags.c_contiguous
+
+    def test_read_only(self):
+        f = FlowField(5, 3, self.vec.copy())
+        assert not f.vectors.flags.writeable and not f.planes.flags.writeable
+        with pytest.raises(ValueError):
+            f.vectors[0, 0, 0] = 1.0
+        with pytest.raises(AttributeError):
+            f.vectors = self.vec
+
+    def test_pickle(self):
+        f = pickle.loads(pickle.dumps(FlowField(5, 3, self.vec)))
+        assert np.array_equal(f.vectors, self.vec) and f.planes.flags.c_contiguous
+        assert not f.vectors.flags.writeable
+
+    def test_flo_bytes(self, tmp_path):
+        path = tmp_path / "a.flo"
+        save_flo(FlowField(5, 3, np.asfortranarray(self.vec)), path)
+        assert path.read_bytes() == struct.pack("<fii", FLO_MAGIC, 5, 3) + self.vec.tobytes()
+        loaded = load_flo(path)
+        assert loaded.vectors.tobytes() == self.vec.tobytes()
+        assert loaded.planes.flags.c_contiguous and not loaded.vectors.flags.writeable
+
+
+def naive_pairs(vectors):
+    """(dest, src) from the definition: column-major pixel order, sources
+    rounded half away from zero, those outside the image dropped."""
+    h, w = vectors.shape[:2]
+    dest, src = [], []
+    for x in range(w):
+        for y in range(h):
+            dx, dy = vectors[y, x]
+            sx = naive_round_half_away(x + float(dx))
+            sy = naive_round_half_away(y + float(dy))
+            if 0 <= sx < w and 0 <= sy < h:
+                dest.append(x * h + y)
+                src.append(sx * h + sy)
+    return dest, src
+
+
+def check_pairs(flow):
+    dest, src = source_pairs(flow)
+    assert dest.dtype == src.dtype == np.int32
+    assert (dest.tolist(), src.tolist()) == naive_pairs(flow.vectors)
+
+
+class TestSourcePairsEdges:
+    @pytest.mark.parametrize("h, w", [(4, 6), (1, 7), (7, 1), (1, 1)])
+    def test_half_a_pixel_past_each_border(self, h, w):
+        # sample positions at and half a pixel around each border
+        xs = np.array([-1.5, -0.5, 0.5, w - 1.5, w - 0.5, w + 0.5], np.float32)
+        ys = np.array([-1.5, -0.5, 0.5, h - 1.5, h - 0.5, h + 0.5], np.float32)
+        rng = np.random.default_rng(h * 10 + w)
+        for _ in range(5):
+            vec = np.empty((h, w, 2), np.float32)
+            vec[..., 0] = rng.choice(xs, (h, w)) - np.arange(w, dtype=np.float32)
+            vec[..., 1] = rng.choice(ys, (h, w)) - np.arange(h, dtype=np.float32)[:, None]
+            check_pairs(FlowField(w, h, vec))
+
+    @pytest.mark.parametrize("h, w", [(3, 4), (1, 5), (5, 1)])
+    def test_near_the_float32_limit(self, h, w):
+        big = [3e38, -3e38, 3.4e38, -3.4e38, float(np.finfo(np.float32).max), 0.0, -1.0, 1.0]
+        rng = np.random.default_rng(h + w)
+        for _ in range(5):
+            vec = rng.choice(np.array(big, np.float32), (h, w, 2))
+            check_pairs(FlowField(w, h, vec))

@@ -1,10 +1,23 @@
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trackmerge.errors import MaskError
-from trackmerge.mask import BBox, Mask, Patch, boundary, dilate, intersection_area, iou
+from trackmerge.mask import (
+    BBox,
+    Mask,
+    Patch,
+    boundary,
+    column_major,
+    dilate,
+    foreground,
+    intersection_area,
+    iou,
+    run_table,
+)
 
 ENCODER = settings(max_examples=300, deadline=None, derandomize=True)
 
@@ -177,6 +190,49 @@ class TestConstructor:
             assert m.runs == (1, 2, 1)
             assert all(type(r) is int for r in m.runs)
             assert m == Mask(2, 2, [1, 2, 1])
+
+
+class TestRunBounds:
+    GRIDS = [np.eye(4, 5, dtype=bool), np.ones((3, 2), bool), np.zeros((2, 3), bool)]
+
+    @staticmethod
+    def built(runs, width, height):
+        """The same mask from a tuple, a list and numpy-integer runs."""
+        return [
+            Mask(width, height, tuple(runs)),
+            Mask(width, height, list(runs)),
+            Mask(width, height, np.array(runs, dtype=np.int32)),
+            Mask(width, height, [np.int64(r) for r in runs]),
+        ]
+
+    @pytest.mark.parametrize("grid", GRIDS + [np.random.default_rng(8).random((6, 7)) < 0.4])
+    def test_kernels_agree(self, grid):
+        h, w = grid.shape
+        flat = grid.flatten(order="F")
+        masks = self.built(Mask.from_dense(grid).runs, w, h)
+        table = run_table(masks)
+        assert table.areas.tolist() == [int(flat.sum())] * len(masks)
+        for m in masks:
+            assert np.array_equal(column_major(m), flat)
+            assert foreground(m).tolist() == np.flatnonzero(flat).tolist()
+            assert m.area == int(flat.sum())
+            if flat.any():
+                ys, xs = np.nonzero(grid)
+                assert m.bbox() == BBox(xs.min(), ys.min(), xs.max() + 1, ys.max() + 1)
+        for name in ("starts", "ends", "first"):
+            rows = [getattr(run_table([m]), name).tolist() for m in masks]
+            assert all(r == rows[0] for r in rows)
+
+    def test_bounds_read_only_and_not_pickled(self):
+        m = Mask(3, 2, [1, 2, 2, 1])
+        b = m.bounds()
+        assert b.dtype == np.int64 and b.tolist() == [1, 3, 5, 6]
+        assert m.bounds() is b
+        assert not b.flags.writeable
+        with pytest.raises(ValueError):
+            b[0] = 0
+        assert pickle.loads(pickle.dumps(m))._bounds is None
+        assert m.__reduce__() == (Mask, (3, 2, (1, 2, 2, 1)))
 
 
 class TestIoU:

@@ -170,6 +170,16 @@ class TestSharing:
         res = random_search([video(crossing_scenario(0))], SearchConfig(sample_count=2000))
         assert (res.states, res.leaves) == (17, 2)
 
+    @pytest.mark.parametrize(
+        "seed, counts", [(0, (19, 27)), (4, (15, 16)), (5, (11, 14)), (7, (19, 23))]
+    )
+    def test_random_states_and_leaves(self, seed, counts):
+        """The work a 2,000-candidate search does: a change to the sub-score
+        kernel that moves a tie or a selection shows here as a count."""
+        cfg = SearchConfig(sample_count=2000, seed=0, top_k=3)
+        res = random_search([video(random_scenario(seed, max_frames=8))], cfg)
+        assert (res.states, res.leaves) == counts
+
     def test_one_state_per_frame_and_selections_before_it(self):
         manifest, gt = video(random_scenario(0, max_frames=6, max_objects=3, max_distractors=3))
         cfg = SearchConfig(sample_count=300, seed=1)

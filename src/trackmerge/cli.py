@@ -13,6 +13,8 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from functools import cache
+from itertools import repeat
 
 import numpy as np
 
@@ -134,26 +136,22 @@ def _resolve_weights(args) -> WeightVector:
     return parse_weights(args.weights)
 
 
-def _merge_one(manifest, weights, active, out_dir):
-    save_trackset(greedy_merge(manifest, weights, active), out_dir)
-
-
 def cmd_merge(args):
     weights = _resolve_weights(args)
     active = parse_components(args.components) if args.components else (True,) * 5
     effective_weights(weights, active)  # reject empty/invalid combos up front
     jobs = _jobs(args)
-    # load and check every manifest before the first write, so that a bad one
-    # leaves --out alone
+    # load and merge every manifest before the first write, so that a bad
+    # manifest or flow file leaves --out alone
     manifests = [load_manifest(p) for p in args.manifest]
+    shared = repeat(weights), repeat(active)
     if jobs > 1 and len(manifests) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            tasks = [pool.submit(_merge_one, m, weights, active, args.out) for m in manifests]
-            for t in tasks:
-                t.result()
+        with ProcessPoolExecutor(max_workers=min(jobs, len(manifests))) as pool:
+            merged = list(pool.map(greedy_merge, manifests, *shared))
     else:
-        for m in manifests:
-            _merge_one(m, weights, active, args.out)
+        merged = list(map(greedy_merge, manifests, *shared))
+    for ts in merged:
+        save_trackset(ts, args.out)
 
 
 def cmd_oracle(args):
@@ -276,9 +274,11 @@ def build_parser():
     return p
 
 
+_parser = cache(build_parser)  # one per process: main may run many times
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         args.func(args)
     except UsageError as e:

@@ -1,18 +1,31 @@
 """Greedy per-frame proposal selection (one track per ground-truth object)
 and the oracle-merging upper bound. Overlapping selections go to the higher
-score when labelmap.paint builds each frame's label map."""
+score when labelmap.paint builds each frame's label map.
+
+merge_walk is the one greedy selection loop. It merges a video under any
+number of weight rows at once: greedy_merge walks its one row, and the weight
+search walks all of its candidates, so the search's merges are greedy_merge's
+by construction. Frame t's sub-scores depend only on what the tracks selected
+at frame t-1, never on the weights, so the walk goes frame by frame. The
+states of frame t are the distinct selections at t-1 among the rows. A state
+builds its sub-score tensor once, splits its rows by what they select and by
+the paint order of overlapping selections (_decide), and paints each distinct
+label map once.
+"""
 
 from __future__ import annotations
 
 import json
 import os
 from dataclasses import dataclass, field
+from functools import cache
+from itertools import zip_longest
 
 import numpy as np
 
 from .errors import TrackmergeError
 from .flow import source_pairs
-from .labelmap import paint, write_frames
+from .labelmap import LabelMap, paint, write_frames
 from .manifest import VideoManifest
 from .mask import Mask, column_major, foreground, ious, run_table
 from .scoring import (
@@ -26,6 +39,10 @@ from .scoring import (
 )
 
 ALL_ACTIVE = (True, True, True, True, True)
+
+# Matrix-product scores closer than this to a tie are redone with
+# scoring.combine, the definition of a combined score.
+TIE = 1e-9
 
 
 @dataclass
@@ -46,76 +63,167 @@ class TrackSet:
     report: list = field(default_factory=list)
 
 
-def _select(manifest: VideoManifest, keys, score_frame) -> TrackSet:
-    """The selection loop shared by greedy and oracle merging.
-
-    ``score_frame(t, proposals, previous)`` scores frame t's proposals given
-    each track's mask at frame t-1. It returns an (n, J) score array, whose
-    argmax per track is selected and ranks overlaps, and ``entry(k, jj)``, the
-    report fields ``keys`` of proposal k for track jj. They stay None where
-    nothing was selected: frame 0, which is the given GT, and empty frames.
-    """
-    w, h = manifest.width, manifest.height
+def first_label_map(manifest: VideoManifest) -> LabelMap:
+    """Frame 0's label map: the given GT masks, shared pixels to the lowest id."""
     gt = manifest.ground_truth
-    ids = [g.object_id for g in gt]
-    empty = Mask.empty(w, h)
-    blank = dict.fromkeys(("proposal", *keys))
+    return paint(manifest.width, manifest.height, [(g.object_id, g.first_frame_mask, 0.0) for g in gt])
 
+
+def _track_set(manifest: VideoManifest, keys, frames) -> TrackSet:
+    """The TrackSet of one merge. ``frames`` gives, for t = 1, 2, ..., frame
+    t's label map and per track (k, *values): the selected proposal k and the
+    values of its report fields ``keys``, or (None,) where nothing was
+    selected. Frame 0 is the given GT, with no selections."""
+    ids = manifest.object_ids
+    empty = Mask.empty(manifest.width, manifest.height)
+    fields = ("proposal", *keys)
     selections = {j: [None] for j in ids}
-    masks = {j: [g.first_frame_mask] for j, g in zip(ids, gt)}
-    report = [{"frame": 0, "objects": {str(j): dict(blank) for j in ids}}]
-    label_maps = [paint(w, h, [(j, masks[j][0], 0.0) for j in ids])]
-
-    for t in range(1, manifest.frame_count):
-        proposals = manifest.proposals[t]
-        objects, entries = {}, []
-        if proposals:
-            scores, entry = score_frame(t, proposals, [masks[j][t - 1] for j in ids])
-        for jj, j in enumerate(ids):
-            # first max wins: lowest index on ties
-            k = int(np.argmax(scores[:, jj])) if proposals else None
+    masks = {j: [g.first_frame_mask] for j, g in zip(ids, manifest.ground_truth)}
+    label_maps = [first_label_map(manifest)]
+    report = [{"frame": 0, "objects": {str(j): dict.fromkeys(fields) for j in ids}}]
+    for t, (label_map, picks) in enumerate(frames, start=1):
+        for j, (k, *_) in zip(ids, picks):
             selections[j].append(k)
-            if k is None:
-                masks[j].append(empty)
-                objects[str(j)] = dict(blank)
-            else:
-                masks[j].append(proposals[k].mask)
-                entries.append((j, proposals[k].mask, float(scores[k, jj])))
-                objects[str(j)] = {"proposal": k, **entry(k, jj)}
-        label_maps.append(paint(w, h, entries))
+            masks[j].append(empty if k is None else manifest.proposals[t][k].mask)
+        label_maps.append(label_map)
+        objects = {str(j): dict(zip_longest(fields, pick)) for j, pick in zip(ids, picks)}
         report.append({"frame": t, "objects": objects})
-
     return TrackSet(manifest.video_id, ids, selections, masks, label_maps, report)
 
 
-class SubScorer:
-    """The sub-score kernel of one video, shared by greedy merging and the
-    weight search: ``scorer(t, previous)`` is the (n, J, 5) sub-score tensor
-    of frame t's n proposals given each track's mask at frame t-1.
+def _approx_scores(weights, sub) -> np.ndarray:
+    """The (g, n, J) combined scores of g weight rows by one matrix product:
+    within a few ulps of combine's np.dot, but not always equal to it."""
+    n, tracks = sub.shape[:2]
+    return (weights @ sub.reshape(n * tracks, 5).T).reshape(len(weights), n, tracks)
 
-    Frame t's run table and flow source pairs depend only on t. Both callers
-    visit the frames in order, the search with several track states per
-    frame, so the scorer keeps the last frame's and holds one frame at a time.
+
+def group_rows(keys):
+    """The distinct rows of a 1-D or 2-D integer array, in lexicographic
+    order, and for each the ascending indices of the rows equal to it."""
+    keys = keys.reshape(len(keys), -1)
+    if len(keys) == 1:  # a single row: nothing to sort
+        return keys.copy(), [np.zeros(1, dtype=np.intp)]
+    order = np.lexsort(keys.T[::-1])
+    ordered = keys[order]
+    new = np.ones(len(keys), dtype=bool)
+    new[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    starts = np.flatnonzero(new)
+    return ordered[starts], np.split(order, starts[1:])
+
+
+def _decide(sub, weights, group, ids, overlaps):
+    """What each row of one state selects and paints at its frame.
+
+    ``sub`` is the state's (n, J, 5) sub-score tensor, ``group`` the state's
+    indices into the rows of ``weights``, ``ids`` the track object ids and
+    ``overlaps(a, b)`` whether the frame's proposals a and b share a pixel.
+    Returns one (selections, variants) pair per distinct choice of proposals,
+    one per track. Each variant is one label map painted from them: the rows
+    that paint it, as positions in ``group``, and the combine() scores of the
+    first of them, which it is painted with.
+
+    A state of one row is scored by combine alone. Otherwise _approx_scores
+    scores every row at once. It may round differently from combine's np.dot,
+    which defines the scores, so a row is scored again by combine where the
+    product is within TIE of a tie: a track's top-2 margin, or the selected
+    scores of two overlapping tracks, whose order decides the shared pixels.
+    Two tracks that select equal sub-score vectors tie exactly under any
+    weights; the lower object id wins, as in labelmap.paint, with no
+    rescoring.
     """
+    n, tracks = sub.shape[:2]
+    if len(group) == 1:  # one label map, painted with the exact scores anyway
+        comb = combine(sub, weights[group[0]])
+        return [(comb.argmax(axis=0), [(np.arange(1), comb)])]
+    scores = _approx_scores(weights[group], sub)
+    select = scores.argmax(axis=1)
+    exact = np.zeros(len(group), dtype=bool)
 
-    def __init__(self, manifest: VideoManifest):
-        self.manifest = manifest
-        self.distances = embedding_distances(manifest)
-        self.max_dist = np.array(
-            list(compute_video_max_distances(manifest, self.distances).values())
-        )
-        self._frame = None  # (t, run table, source_pairs of its flow)
+    def rescore(rows):
+        for i in rows:
+            scores[i] = combine(sub, weights[group[i]])
+            select[i] = scores[i].argmax(axis=0)
+        exact[rows] = True
 
-    def __call__(self, t, previous) -> np.ndarray:
-        if self._frame is None or self._frame[0] != t:
-            table = run_table([p.mask for p in self.manifest.proposals[t]])
-            pairs = source_pairs(self.manifest.flow(t))  # shared by all tracks
-            self._frame = t, table, pairs
-        _, table, (dest, src) = self._frame
-        # each track's previous mask warped along the flow, as foreground indices
-        prop = np.stack([ious(table, dest[column_major(m)[src]]) for m in previous], axis=1)
-        objectness = [p.objectness for p in self.manifest.proposals[t]]
-        return frame_subscores(objectness, self.distances[t], self.max_dist, prop)
+    if n > 1:
+        ranked = np.partition(scores, n - 2, axis=1)
+        margin = ranked[:, n - 1] - ranked[:, n - 2]
+        rescore(np.flatnonzero((margin < TIE).any(axis=1)))
+
+    choices = []
+    for k, rows in zip(*group_rows(select)):
+        order = []  # per overlapping pair of tracks: is the first on top?
+        for a in range(tracks):
+            for b in range(a + 1, tracks):
+                if not overlaps(k[a], k[b]):
+                    continue  # no shared pixel
+                if np.array_equal(sub[k[a], a], sub[k[b], b]):
+                    continue  # an exact tie for every row
+                at = rows[:, None], k[[a, b]], [a, b]  # the two tracks' selected scores
+                sa, sb = scores[at].T
+                rescore(rows[~exact[rows] & (np.abs(sa - sb) < TIE)])
+                sa, sb = scores[at].T
+                order.append((sa > sb) | ((sa == sb) & (ids[a] < ids[b])))
+        variants = [rows[v] for v in group_rows(np.stack(order, axis=1))[1]] if order else [rows]
+        rescore([v[0] for v in variants if not exact[v[0]]])  # the scores each map is painted with
+        choices.append((k, [(v, scores[v[0]]) for v in variants]))
+    return choices
+
+
+def merge_walk(manifest: VideoManifest, weights):
+    """The greedy merges of ``manifest`` under the rows of the (R, 5) array
+    ``weights``, frame by frame from frame 1.
+
+    Yields (t, paints) once per state of frame t. Each paint is one label map
+    that some of the state's rows paint at t: (rows, selected, sub, combined,
+    label_map), where ``rows`` indexes those rows, ``selected`` holds each
+    track's proposal (-1: none), ``sub`` is the state's (n, J, 5) sub-score
+    tensor and ``combined`` the combine() scores the label map was painted
+    with, the same for each of its rows; both are None on a frame without
+    proposals, which reads no flow.
+    """
+    w, h = manifest.width, manifest.height
+    ids = manifest.object_ids
+    distances = embedding_distances(manifest)
+    max_dist = np.array(list(compute_video_max_distances(manifest, distances).values()))
+    empty = Mask.empty(w, h)
+    first = [g.first_frame_mask for g in manifest.ground_truth]
+    # selected[i]: row i's proposal per track at the last frame walked (-1: none)
+    selected = np.full((len(weights), len(ids)), -1)
+    before = []
+    for t in range(1, manifest.frame_count):
+        proposals = manifest.proposals[t]
+        masks = [p.mask for p in proposals]
+        if masks:  # the run table and flow pairs are shared by all states and tracks
+            table = run_table(masks)
+            dest, src = source_pairs(manifest.flow(t))
+            objectness = [p.objectness for p in proposals]
+
+        @cache  # the frame's states share it
+        def overlaps(a, b, masks=masks):
+            return ious(run_table([masks[a]]), foreground(masks[b]))[0] > 0
+
+        for key, group in zip(*group_rows(selected)):
+            if masks:
+                previous = first if t == 1 else [empty if k < 0 else before[k] for k in key]
+                # each track's previous mask warped along the flow, as foreground indices
+                prop = np.stack([ious(table, dest[column_major(m)[src]]) for m in previous], axis=1)
+                sub = frame_subscores(objectness, distances[t], max_dist, prop)
+                choices = _decide(sub, weights, group, ids, overlaps)
+            else:
+                sub = None
+                choices = [(np.full(len(ids), -1), [(np.arange(len(group)), None)])]
+            paints = []
+            for k, variants in choices:
+                for rows, comb in variants:
+                    entries = [] if comb is None else [
+                        (j, masks[kj], float(comb[kj, jj])) for jj, (j, kj) in enumerate(zip(ids, k))
+                    ]
+                    paints.append((group[rows], k, sub, comb, paint(w, h, entries)))
+                    selected[group[rows]] = k
+            yield t, paints
+        before = masks
 
 
 def greedy_merge(
@@ -129,18 +237,15 @@ def greedy_merge(
     inactive components' weights are redistributed equally over active ones.
     """
     weights = weights if weights is not None else WeightVector.equal()
-    w = effective_weights(weights, active).as_array()
-    scorer = SubScorer(manifest)
-
-    def score_frame(t, proposals, previous):
-        sub = scorer(t, previous)
-        comb = combine(sub, w)
-        return comb, lambda k, jj: {
-            "sub_scores": dict(zip(COMPONENTS, (float(x) for x in sub[k, jj]))),
-            "combined": float(comb[k, jj]),
-        }
-
-    return _select(manifest, ("sub_scores", "combined"), score_frame)
+    row = effective_weights(weights, active).as_array()
+    frames = []
+    for _, [(_, selected, sub, comb, label_map)] in merge_walk(manifest, row[None]):
+        frames.append((label_map, [
+            (None,) if k < 0 else
+            (k, dict(zip(COMPONENTS, map(float, sub[k, jj]))), float(comb[k, jj]))
+            for jj, k in enumerate(selected.tolist())
+        ]))
+    return _track_set(manifest, ("sub_scores", "combined"), frames)
 
 
 def oracle_merge(manifest: VideoManifest, gt_all_frames) -> TrackSet:
@@ -164,12 +269,17 @@ def oracle_merge(manifest: VideoManifest, gt_all_frames) -> TrackSet:
                     f"full GT frame {t} object {j} is {m.width}x{m.height}, video is {w}x{h}"
                 )
 
-    def score_frame(t, proposals, previous):
-        table = run_table([p.mask for p in proposals])
-        scores = np.stack([ious(table, foreground(gt_all_frames[t][j])) for j in ids], axis=1)
-        return scores, lambda k, jj: {"iou": float(scores[k, jj])}
-
-    return _select(manifest, ("iou",), score_frame)
+    frames = []
+    for proposals, frame_gt in zip(manifest.proposals[1:], gt_all_frames[1:]):
+        picks, entries = [(None,)] * len(ids), []
+        if proposals:
+            table = run_table([p.mask for p in proposals])
+            scores = np.stack([ious(table, foreground(frame_gt[j])) for j in ids], axis=1)
+            # first max wins: lowest index on ties
+            picks = [(int(k), float(scores[k, jj])) for jj, k in enumerate(scores.argmax(axis=0))]
+            entries = [(j, proposals[k].mask, s) for j, (k, s) in zip(ids, picks)]
+        frames.append((paint(w, h, entries), picks))
+    return _track_set(manifest, ("iou",), frames)
 
 
 def save_trackset(ts: TrackSet, out_dir):

@@ -2,15 +2,12 @@
 probability simplex, each scored by greedy merging and benchmark scoring,
 with the equal-weights vector always force-included as candidate 0.
 
-Candidates share almost all of that work: frame t's sub-scores depend only
-on what the tracks selected at frame t-1, never on the weights. So each
-video is walked frame by frame. The states of frame t are the distinct
-selections at t-1 among the candidates. A state builds its sub-score tensor
-once and splits its candidates by what they select and by the paint order
-of overlapping selections; each distinct label map of a state is scored
-once, and each leaf, one distinct sequence of scored label maps over the
-video, is summarized once. The scores equal those of greedy_merge then
-evaluate, bit for bit (see _decide).
+Candidates share almost all of that work. Each video is merged under all of
+them in one merging.merge_walk, the walk greedy_merge takes with one row, so
+a candidate's merge is its greedy_merge by construction. Each distinct label
+map the walk paints is scored once against its frame's GT, and each leaf,
+one distinct sequence of scored label maps over the video, is summarized
+once, so the scores equal those of greedy_merge then evaluate, bit for bit.
 """
 
 from __future__ import annotations
@@ -18,15 +15,13 @@ from __future__ import annotations
 import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from functools import cache
+from functools import lru_cache
 from itertools import repeat
 
 import numpy as np
 
 from .errors import TrackmergeError
-from .labelmap import paint
-from .mask import Mask, foreground, ious, run_table
-from .merging import SubScorer
+from .merging import first_label_map, group_rows, merge_walk
 from .metrics import (
     check_labels,
     default_boundary_tolerance,
@@ -34,7 +29,7 @@ from .metrics import (
     score_frame,
     summarize,
 )
-from .scoring import WeightVector, combine
+from .scoring import WeightVector
 
 OBJECTIVES = ("jf_mean", "j_mean", "f_mean")
 
@@ -85,85 +80,6 @@ def _candidates(cfg: SearchConfig) -> np.ndarray:
     return np.vstack([WeightVector.equal().as_array(), draws])
 
 
-# Matrix-product scores closer than this to a tie are redone with
-# scoring.combine, the definition of a combined score.
-TIE = 1e-9
-
-
-def _approx_scores(weights, sub) -> np.ndarray:
-    """The (g, n, J) combined scores of g weight rows by one matrix product:
-    within a few ulps of combine's np.dot, but not always equal to it."""
-    n, tracks = sub.shape[:2]
-    return (weights @ sub.reshape(n * tracks, 5).T).reshape(len(weights), n, tracks)
-
-
-def _group_rows(keys):
-    """The distinct rows of a 1-D or 2-D integer array, in lexicographic
-    order, and for each the ascending indices of the rows equal to it."""
-    keys = keys.reshape(len(keys), -1)
-    order = np.lexsort(keys.T[::-1])
-    ordered = keys[order]
-    new = np.ones(len(keys), dtype=bool)
-    new[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
-    starts = np.flatnonzero(new)
-    return ordered[starts], np.split(order, starts[1:])
-
-
-def _decide(sub, weights, group, ids, overlaps):
-    """What each candidate of one state selects and paints at its frame.
-
-    ``sub`` is the state's (n, J, 5) sub-score tensor, ``group`` the
-    candidates' indices into the rows of ``weights``, ``ids`` the track
-    object ids and ``overlaps(a, b)`` whether the frame's proposals a and b
-    share a pixel. Returns one
-    (selections, variants) pair per distinct choice of proposals, one per
-    track; each variant lists the candidates, as positions in ``group``,
-    that paint one label map from them.
-
-    _approx_scores scores every candidate at once. It may round differently
-    from combine's np.dot, which defines the scores, so a candidate is scored
-    again by combine where the product is within TIE of a tie: a track's
-    top-2 margin, or the selected scores of two overlapping tracks, whose
-    order decides the shared pixels. Two tracks that select equal sub-score
-    vectors tie exactly under any weights; the lower object id wins, as in
-    labelmap.paint, with no rescoring.
-    """
-    n, tracks = sub.shape[:2]
-    scores = _approx_scores(weights[group], sub)
-    select = scores.argmax(axis=1)
-    top = np.take_along_axis(scores, select[:, None, :], axis=1)[:, 0, :]
-    exact = np.zeros(len(group), dtype=bool)
-
-    def rescore(rows):
-        for i in rows:
-            comb = combine(sub, weights[group[i]])
-            select[i] = comb.argmax(axis=0)
-            top[i] = comb[select[i], np.arange(tracks)]
-        exact[rows] = True
-
-    if n > 1:
-        ranked = np.partition(scores, n - 2, axis=1)
-        margin = ranked[:, n - 1] - ranked[:, n - 2]
-        rescore(np.flatnonzero((margin < TIE).any(axis=1)))
-
-    choices = []
-    for k, rows in zip(*_group_rows(select)):
-        order = []  # per overlapping pair of tracks: is the first on top?
-        for a in range(tracks):
-            for b in range(a + 1, tracks):
-                if not overlaps(k[a], k[b]):
-                    continue  # no shared pixel
-                if np.array_equal(sub[k[a], a], sub[k[b], b]):
-                    continue  # an exact tie for every candidate
-                close = ~exact[rows] & (np.abs(top[rows, a] - top[rows, b]) < TIE)
-                rescore(rows[close])
-                sa, sb = top[rows, a], top[rows, b]
-                order.append((sa > sb) | ((sa == sb) & (ids[a] < ids[b])))
-        variants = [rows[v] for v in _group_rows(np.stack(order, axis=1))[1]] if order else [rows]
-        choices.append((k, variants))
-    return choices
-
-
 @dataclass
 class _Walk:
     """One video's walk: each candidate's leaf and each leaf's score."""
@@ -183,54 +99,25 @@ def _walk(video, weights, objective) -> _Walk:
         raise TrackmergeError(f"prediction has {frames} frames, GT has {len(gt)}")
     if frames < 2:
         raise TrackmergeError("need at least 2 frames to evaluate")
-    w, h = manifest.width, manifest.height
     gt_ids = sorted(gt[0])
-    tolerance = default_boundary_tolerance(w, h)
-    ids = manifest.object_ids
-    scorer = SubScorer(manifest)
-    empty = Mask.empty(w, h)
-    first = [g.first_frame_mask for g in manifest.ground_truth]
-    check_labels(0, paint(w, h, [(j, m, 0.0) for j, m in zip(ids, first)]), gt_ids)
+    tolerance = default_boundary_tolerance(manifest.width, manifest.height)
+    check_labels(0, first_label_map(manifest), gt_ids)
+    prepared = lru_cache(1)(lambda t: prepare_frame(gt[t], gt_ids, tolerance))
 
-    # selected[i]: candidate i's proposal per track at the last frame walked
-    # (-1: none); painted[t - 1, i]: the index in ``scored`` of the label map
-    # candidate i paints at frame t. A state is one distinct row of selected.
-    selected = np.full((len(weights), len(ids)), -1)
+    # painted[t - 1, i]: the index in ``scored`` of the label map candidate i
+    # paints at frame t
     painted = np.empty((frames - 1, len(weights)), dtype=np.int32)
-    scored, states, before = [], 0, []
-    for t in range(1, frames):
-        prepared = prepare_frame(gt[t], gt_ids, tolerance)
-        masks = [p.mask for p in manifest.proposals[t]]
-
-        @cache  # the frame's states share it
-        def overlaps(a, b, masks=masks):
-            return ious(run_table([masks[a]]), foreground(masks[b]))[0] > 0
-
-        for key, group in zip(*_group_rows(selected)):
-            states += 1
-            if masks:
-                previous = first if t == 1 else [empty if k < 0 else before[k] for k in key]
-                sub = scorer(t, previous)
-                choices = _decide(sub, weights, group, ids, overlaps)
-            else:
-                choices = [(np.full(len(ids), -1), [np.arange(len(group))])]
-            for k, variants in choices:
-                for rows in variants:
-                    entries = []
-                    if masks:  # every candidate here orders the overlaps alike
-                        comb = combine(sub, weights[group[rows[0]]])
-                        entries = [(j, masks[kj], float(comb[kj, jj]))
-                                   for jj, (j, kj) in enumerate(zip(ids, k))]
-                    lm = paint(w, h, entries)
-                    check_labels(t, lm, gt_ids)
-                    painted[t - 1, group[rows]] = len(scored)
-                    scored.append(score_frame(lm, prepared, tolerance))
-                    selected[group[rows]] = k
-        before = masks
+    scored, states = [], 0
+    for t, paints in merge_walk(manifest, weights):
+        states += 1
+        for rows, *_, label_map in paints:
+            check_labels(t, label_map, gt_ids)
+            painted[t - 1, rows] = len(scored)
+            scored.append(score_frame(label_map, prepared(t), tolerance))
 
     # a leaf is one distinct row of painted.T: one distinct merge of the video
     leaf, scores = np.empty(len(weights), dtype=np.intp), []
-    for i, (row, group) in enumerate(zip(*_group_rows(painted.T))):
+    for i, (row, group) in enumerate(zip(*group_rows(painted.T))):
         leaf[group] = i
         scores.append(getattr(summarize(gt_ids, [scored[m] for m in row]), objective))
     return _Walk(leaf, scores, states)
@@ -259,7 +146,7 @@ def random_search(videos, cfg: SearchConfig, jobs: int = 1) -> SearchResult:
 
     # candidates with the same leaf in every video share one mean
     scores = [0.0] * len(weights)
-    for leaves, members in zip(*_group_rows(np.stack([wk.leaf for wk in walks], axis=1))):
+    for leaves, members in zip(*group_rows(np.stack([wk.leaf for wk in walks], axis=1))):
         mean = float(np.mean([wk.scores[i] for wk, i in zip(walks, leaves)]))
         for i in members.tolist():
             scores[i] = mean

@@ -2,12 +2,31 @@
 merging math, used only as a test oracle. Works on dense boolean grids with
 explicit loops; no code is shared with the library's RLE/vectorized paths
 beyond the documented conventions (tie breaking, empty-max = 1,
-inactive-weight redistribution)."""
+inactive-weight redistribution).
+
+reference_merge is the exception: the per-candidate greedy merge, one weight
+vector at a time, over the library's sub-score, overlap and paint kernels. It
+holds the whole TrackSet, report included, that greedy_merge must return,
+without the many-row walk greedy_merge and the weight search share."""
 
 import functools
 import math
 
 import numpy as np
+
+from trackmerge.flow import source_pairs
+from trackmerge.labelmap import paint
+from trackmerge.mask import Mask, column_major, ious, run_table
+from trackmerge.merging import ALL_ACTIVE, TrackSet
+from trackmerge.scoring import (
+    COMPONENTS,
+    WeightVector,
+    combine,
+    compute_video_max_distances,
+    effective_weights,
+    embedding_distances,
+    frame_subscores,
+)
 
 
 def naive_round_half_away(v):
@@ -125,3 +144,54 @@ def naive_selections(manifest, weights5, active5=(True,) * 5):
             new_prev[j] = proposals[best_i].mask.dense().copy()
         prev_dense = new_prev
     return selections
+
+
+def reference_merge(manifest, weights=None, active=ALL_ACTIVE):
+    """greedy_merge, one frame and one weight vector at a time: per frame,
+    the (n, J, 5) sub-scores, each track's first argmax of combine, and the
+    label map painted with those scores."""
+    weights = weights if weights is not None else WeightVector.equal()
+    w = effective_weights(weights, active).as_array()
+    distances = embedding_distances(manifest)
+    max_dist = np.array(list(compute_video_max_distances(manifest, distances).values()))
+    width, height = manifest.width, manifest.height
+    gt = manifest.ground_truth
+    ids = [g.object_id for g in gt]
+    empty = Mask.empty(width, height)
+    blank = dict.fromkeys(("proposal", "sub_scores", "combined"))
+
+    selections = {j: [None] for j in ids}
+    masks = {j: [g.first_frame_mask] for j, g in zip(ids, gt)}
+    report = [{"frame": 0, "objects": {str(j): dict(blank) for j in ids}}]
+    label_maps = [paint(width, height, [(j, masks[j][0], 0.0) for j in ids])]
+
+    for t in range(1, manifest.frame_count):
+        proposals = manifest.proposals[t]
+        objects, entries = {}, []
+        if proposals:
+            table = run_table([p.mask for p in proposals])
+            dest, src = source_pairs(manifest.flow(t))
+            previous = [masks[j][t - 1] for j in ids]
+            prop = np.stack([ious(table, dest[column_major(m)[src]]) for m in previous], axis=1)
+            objectness = [p.objectness for p in proposals]
+            sub = frame_subscores(objectness, distances[t], max_dist, prop)
+            comb = combine(sub, w)
+        for jj, j in enumerate(ids):
+            # first max wins: lowest index on ties
+            k = int(np.argmax(comb[:, jj])) if proposals else None
+            selections[j].append(k)
+            if k is None:
+                masks[j].append(empty)
+                objects[str(j)] = dict(blank)
+            else:
+                masks[j].append(proposals[k].mask)
+                entries.append((j, proposals[k].mask, float(comb[k, jj])))
+                objects[str(j)] = {
+                    "proposal": k,
+                    "sub_scores": dict(zip(COMPONENTS, (float(x) for x in sub[k, jj]))),
+                    "combined": float(comb[k, jj]),
+                }
+        label_maps.append(paint(width, height, entries))
+        report.append({"frame": t, "objects": objects})
+
+    return TrackSet(manifest.video_id, ids, selections, masks, label_maps, report)

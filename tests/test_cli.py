@@ -1,11 +1,15 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from trackmerge.cli import main, parse_components, parse_weights
 from trackmerge.cli import UsageError
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def run(*argv):
@@ -214,6 +218,42 @@ class TestPipeline:
         lines = capsys.readouterr().err.strip().splitlines()
         assert len(lines) == 1 and json.loads(lines[0])["error"] == "ManifestError"
         assert not out.exists() or not os.listdir(out)
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_merge_checks_every_flow_before_writing(self, tmp_path, capsys, jobs):
+        manifests = []
+        for preset, seed in (("crossing", "1"), ("random", "3")):
+            data = tmp_path / preset
+            run("synth", "--out", str(data), "--preset", preset, "--seed", seed)
+            manifests.append(data / "manifest.json")
+        # the second manifest's last flow file loses its final byte
+        last = manifests[1].parent / json.loads(manifests[1].read_text())["flows"][-1]
+        last.write_bytes(last.read_bytes()[:-1])
+        out = tmp_path / "o"
+        code = run("merge", "--manifest", *map(str, manifests), "--out", str(out), "--jobs", jobs)
+        assert code == 1
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1 and json.loads(lines[0])["error"] == "FlowError"
+        assert not out.exists() or not os.listdir(out)
+
+    def test_main_runs_alike_in_one_process_and_fresh(self, tmp_path):
+        data = tmp_path / "data"
+        run("synth", "--out", str(data), "--preset", "random", "--seed", "5")
+        merges = [
+            ["merge", "--manifest", str(data / "manifest.json"), "--components", "obj,maskprop"],
+            ["merge", "--manifest", str(data / "manifest.json")],
+        ]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
+        env.pop("TRACKMERGE_JOBS", None)
+        for k, argv in enumerate(merges):
+            assert run(*argv, "--out", str(tmp_path / f"same_{k}")) == 0
+            subprocess.run(
+                [sys.executable, "-m", "trackmerge.cli", *argv, "--out", str(tmp_path / f"fresh_{k}")],
+                env=env, check=True, timeout=120,
+            )
+        fresh = [tree_bytes(tmp_path / f"fresh_{k}") for k in range(2)]
+        assert fresh[0] != fresh[1]
+        assert [tree_bytes(tmp_path / f"same_{k}") for k in range(2)] == fresh
 
     @pytest.mark.parametrize("samples", ["2", "7"])
     def test_search_reads_each_flow_file_once(self, tmp_path, monkeypatch, samples):

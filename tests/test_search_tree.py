@@ -1,10 +1,14 @@
 """The prefix-shared weight search against the per-candidate definition of a
-candidate's score: greedy_merge then evaluate on every video, averaged."""
+candidate's score: the greedy merge then evaluate on every video, averaged.
+The merge is tests/naive_reference.reference_merge, one candidate at a time,
+not the walk that greedy_merge and the search share; greedy_merge is held to
+it here too."""
 
 import numpy as np
 import pytest
 
-from trackmerge import search
+from naive_reference import reference_merge
+from trackmerge import merging
 from trackmerge.errors import TrackmergeError
 from trackmerge.flow import FlowField
 from trackmerge.manifest import GroundTruthObject, Proposal, VideoManifest, filter_manifest
@@ -13,20 +17,29 @@ from trackmerge.merging import greedy_merge
 from trackmerge.metrics import evaluate
 from trackmerge.search import SearchConfig, random_search, result_to_dict, sample_simplex
 from trackmerge.scoring import WeightVector
-from trackmerge.synth import crossing_scenario, generate, random_scenario
+from trackmerge.synth import (
+    ScenarioSpec,
+    ShapeSpec,
+    crossing_scenario,
+    generate,
+    random_scenario,
+)
+
+
+def candidates(cfg):
+    """The search's candidates, drawn one at a time."""
+    rng = np.random.default_rng(cfg.seed)
+    return [WeightVector.equal()] + [sample_simplex(rng) for _ in range(cfg.sample_count - 1)]
 
 
 def reference_scores(videos, cfg):
-    """Each candidate scored on its own, candidates drawn one at a time."""
-    rng = np.random.default_rng(cfg.seed)
-    candidates = [WeightVector.equal()]
-    candidates += [sample_simplex(rng) for _ in range(cfg.sample_count - 1)]
+    """Each candidate merged and scored on its own."""
     return [
         float(np.mean([
-            getattr(evaluate(greedy_merge(m, w).label_maps, gt), cfg.objective)
+            getattr(evaluate(reference_merge(m, w).label_maps, gt), cfg.objective)
             for m, gt in videos
         ]))
-        for w in candidates
+        for w in candidates(cfg)
     ]
 
 
@@ -50,6 +63,30 @@ def rect(x0, y0, x1, y1, width=16, height=10):
     grid = np.zeros((height, width), dtype=bool)
     grid[y0:y1, x0:x1] = True
     return Mask.from_dense(grid)
+
+
+def empty_frame_instance():
+    """crossing_scenario(0) with no proposals at frame 2: every track selects
+    nothing there and takes maskprop from an empty mask at frame 3."""
+    manifest, gt = video(crossing_scenario(0))
+    manifest.proposals[2] = []
+    return manifest, gt
+
+
+def davis_sized():
+    """An 854x480, 20-frame scene with 3 objects, a still distractor shape and
+    27 proposals per frame after filtering."""
+    spec = ScenarioSpec(
+        seed=11, frame_count=20, width=854, height=480,
+        objects=(
+            ShapeSpec("ellipse", (150, 110), (40, 30), (5, 3)),
+            ShapeSpec("rect", (110, 150), (650, 40), (-4, 4)),
+            ShapeSpec("ellipse", (120, 120), (300, 330), (6, -2)),
+        ),
+        planted=(ShapeSpec("rect", (150, 110), (600, 300), (0, 0), objectness=0.8),),
+        distractor_count=23, embedding_noise=0.05, spurious_rate=0.5, video_id="davis",
+    )
+    return video(spec)
 
 
 def tie_instance():
@@ -109,6 +146,7 @@ CORPORA = {
     "random_8": (lambda: [video(random_scenario(8))], 150),
     "small_0_5": (lambda: [small_instance(s) for s in range(6)], 60),
     "tie": (lambda: [tie_instance()], 100),
+    "empty_frame": (lambda: [empty_frame_instance()], 100),
     "order": (lambda: [order_instance()], 100),
     # the selected sub-scores of the two tracks sum to the same real number
     # (1/2 + 6/7 + 11/12 on one side), so equal weights tie them up to rounding
@@ -143,20 +181,35 @@ class TestScoresEqualPerCandidate:
         # error below TIE must leave every score unchanged. The error here
         # is random, plus a shift that lifts even tracks and lowers odd ones
         # (or the reverse), so near ties between tracks go both ways
-        exact = search._approx_scores
+        exact = merging._approx_scores
         rng = np.random.default_rng(0)
 
         def perturbed(weights, sub):
             scores = exact(weights, sub)
             shift = sign * (-1) ** np.arange(scores.shape[2])
-            return scores + (rng.uniform(-0.2, 0.2, scores.shape) + 0.2 * shift) * search.TIE
+            return scores + (rng.uniform(-0.2, 0.2, scores.shape) + 0.2 * shift) * merging.TIE
 
         make, count = CORPORA[name]
         videos = make()
         cfg = SearchConfig(sample_count=count, seed=7, top_k=3)
         want = reference_scores(videos, cfg)
-        monkeypatch.setattr(search, "_approx_scores", perturbed)
+        monkeypatch.setattr(merging, "_approx_scores", perturbed)
         assert searched_scores(videos, cfg) == want
+        for w in candidates(cfg)[:10]:
+            for m, _ in videos:
+                assert greedy_merge(m, w) == reference_merge(m, w)
+
+
+class TestGreedyMergeEqualsReference:
+    """greedy_merge, one row of the shared walk, against the merge it replaced:
+    selections, masks, label maps and report."""
+
+    @pytest.mark.parametrize("active", [(True,) * 5, (True, False, True, False, True)])
+    @pytest.mark.parametrize("name", ["tie", "near_tie", "order", "empty_frame", "random_5"])
+    def test_whole_track_sets(self, name, active):
+        [(manifest, _)] = CORPORA[name][0]()
+        for w in candidates(SearchConfig(sample_count=20, seed=3, top_k=1)):
+            assert greedy_merge(manifest, w, active) == reference_merge(manifest, w, active)
 
 
 class TestSharing:
@@ -165,6 +218,11 @@ class TestSharing:
         cfg = SearchConfig(sample_count=100, seed=7, top_k=3)
         assert len(set(reference_scores(videos, cfg))) > 1
         assert random_search(videos, cfg).leaves > 1
+
+    def test_davis_sized_states_and_leaves(self):
+        """Measured before the search and greedy_merge shared one walk."""
+        res = random_search([davis_sized()], SearchConfig(sample_count=2000, seed=1))
+        assert (res.states, res.leaves) == (148, 56)
 
     def test_crossing_states_and_leaves(self):
         res = random_search([video(crossing_scenario(0))], SearchConfig(sample_count=2000))
@@ -183,11 +241,8 @@ class TestSharing:
     def test_one_state_per_frame_and_selections_before_it(self):
         manifest, gt = video(random_scenario(0, max_frames=6, max_objects=3, max_distractors=3))
         cfg = SearchConfig(sample_count=300, seed=1)
-        rng = np.random.default_rng(cfg.seed)
-        candidates = [WeightVector.equal()]
-        candidates += [sample_simplex(rng) for _ in range(cfg.sample_count - 1)]
         keys = set()
-        for w in candidates:
+        for w in candidates(cfg):
             sel = greedy_merge(manifest, w).selections
             for t in range(1, manifest.frame_count):
                 keys.add((t, tuple(-1 if sel[j][t - 1] is None else sel[j][t - 1] for j in sel)))

@@ -73,9 +73,12 @@ def parse_weights(text: str) -> WeightVector:
         vals = np.array([float(p) for p in parts])
     except ValueError as e:
         raise UsageError(f"bad weight value: {e}") from e
+    if not np.isfinite(vals).all():  # NaN would pass every test below
+        raise UsageError("weights must be finite")
     if (vals < 0).any():
         raise UsageError("weights must be non-negative")
-    total = vals.sum()
+    with np.errstate(over="ignore"):  # huge weights sum to inf, rejected below
+        total = vals.sum()
     if abs(total - 1.0) > 0.01:
         raise UsageError(f"weights sum to {total}, expected 1 (within 1%)")
     return WeightVector.from_array(vals / total)

@@ -12,7 +12,16 @@ import numpy as np
 
 from .errors import ManifestError, TrackmergeError
 from .flow import FlowField, load_flo
-from .mask import BBox, Mask, check_same_shape, foreground, ious, run_table
+from .mask import (
+    BBox,
+    Mask,
+    check_same_shape,
+    foreground,
+    iou_bounds,
+    ious,
+    run_table,
+    sub_table,
+)
 
 
 @dataclass(frozen=True, eq=False)
@@ -301,24 +310,38 @@ def filter_proposals(frame_proposals, score_min: float = 0.05, nms_iou: float = 
     walks the rest in descending objectness (ties by original index) and
     suppresses any proposal whose mask IoU with an already-kept one is
     >= nms_iou. Output is in descending-score order.
+
+    The NMS is box-pruned. One run table of the frame gives every
+    candidate's tight box (``Proposal.bbox`` is not read), and the boxes and
+    areas give each pair an upper bound on its IoU (mask.iou_bounds). A kept
+    proposal counts its exact integer IoUs, as mask.iou would, only with
+    the later candidates that are still alive and whose bound reaches
+    nms_iou, on a sub-table of their runs; unless nms_iou is 0, their boxes
+    share a pixel with its box. No other candidate can reach nms_iou, so
+    the kept lists are those of the pairwise walk, at a cost that follows
+    the overlapping proposals.
     """
     if not (0.0 <= score_min <= 1.0 and 0.0 <= nms_iou <= 1.0):
         raise ManifestError("filter thresholds must lie in [0, 1]")
     candidates = [
         (i, p) for i, p in enumerate(frame_proposals) if p.objectness > score_min
     ]
+    if not candidates:
+        return []
     candidates.sort(key=lambda ip: (-ip[1].objectness, ip[0]))
     masks = [p.mask for _, p in candidates]
     for m in masks[1:]:
         check_same_shape(masks[0], m)
-    table = run_table(masks) if masks else None
+    table = run_table(masks)
+    near = np.triu(iou_bounds(table, masks[0].height) >= nms_iou, 1)
     alive = np.ones(len(candidates), dtype=bool)
     kept = []
     for i, (_, p) in enumerate(candidates):
         if alive[i]:
             kept.append(p)
-            # the exact integer IoU of mask.iou, with every candidate at once
-            alive &= ious(table, foreground(p.mask)) < nms_iou
+            rows = np.flatnonzero(near[i] & alive)
+            if rows.size:
+                alive[rows] = ious(sub_table(table, rows), foreground(p.mask)) < nms_iou
     return kept
 
 

@@ -214,7 +214,8 @@ def iou(a: Mask, b: Mask, empty_empty: float = 0.0) -> float:
 # Overlap kernel. It scores many masks of one frame against one other mask
 # given as the ascending column-major indices of its foreground pixels: a
 # mask's overlap is, summed over its foreground runs [start, end), how many
-# of those indices each run holds, which two binary searches count.
+# of those indices each run holds, which two binary searches count. The
+# masks' boxes, from the table's runs, bound their IoUs before any count.
 
 
 def column_major(m: Mask) -> np.ndarray:
@@ -252,6 +253,60 @@ def run_table(masks) -> RunTable:
     # each mask's area: the sum of its runs' lengths
     cum = np.concatenate(([0], np.cumsum(ends - starts)))
     return RunTable(starts, ends, first, cum[first[1:]] - cum[first[:-1]])
+
+
+def sub_table(table: RunTable, rows: np.ndarray) -> RunTable:
+    """The table of the masks ``rows`` of ``table``, in that order."""
+    lo = table.first[rows]
+    counts = table.first[rows + 1] - lo
+    first = np.concatenate(([0], np.cumsum(counts)))
+    runs = np.arange(first[-1]) + np.repeat(lo - first[:-1], counts)
+    return RunTable(table.starts[runs], table.ends[runs], first, table.areas[rows])
+
+
+def table_boxes(table: RunTable, height: int) -> np.ndarray:
+    """Every mask's tight box from its runs, as a (4, n) int64 array whose
+    rows are x0, y0, x1, y1: Mask.bbox for a non-empty mask. A run that
+    wraps into the next column holds the last row of one column and the
+    first row of the next, so its mask spans every row. An empty mask gets
+    the box (0, 0, 0, 0), which shares no pixel with any box."""
+    boxes = np.zeros((4, len(table.areas)), np.int64)
+    if not len(table.starts):
+        return boxes
+    last = table.ends - 1
+    col0, col1 = table.starts // height, last // height
+    wraps = col0 != col1
+    top = np.where(wraps, 0, table.starts % height)
+    bottom = np.where(wraps, height, last % height + 1)
+    some = table.areas > 0
+    at = table.first[:-1][some]  # each non-empty mask's first run
+    # a mask's runs go from its first run to the next non-empty mask's
+    boxes[:, some] = (
+        col0[at],
+        np.minimum.reduceat(top, at),
+        col1[table.first[1:][some] - 1] + 1,
+        np.maximum.reduceat(bottom, at),
+    )
+    return boxes
+
+
+def iou_bounds(table: RunTable, height: int) -> np.ndarray:
+    """(n, n) upper bounds on the IoUs of the table's masks, pair by pair,
+    from their areas and their boxes alone; 0 where the boxes share no
+    pixel (ends are exclusive, so boxes that touch along an edge share
+    none). Masks i and j share at most s = min(area i, area j, pixels their
+    boxes share) pixels, and IoU grows with the shared count, so
+    IoU <= s / (area i + area j - s). Rounding keeps the order, so each
+    bound is also >= the IoU that ious returns for the pair."""
+    x0, y0, x1, y1 = table_boxes(table, height)[:, :, None]
+    w = np.minimum(x1, x1.T) - np.maximum(x0, x0.T)
+    h = np.minimum(y1, y1.T) - np.maximum(y0, y0.T)
+    a = table.areas
+    most = np.minimum(np.minimum.outer(a, a), np.maximum(w, 0) * np.maximum(h, 0))
+    union = np.add.outer(a, a) - most
+    out = np.zeros(union.shape)
+    np.divide(most, union, out=out, where=union > 0)
+    return out
 
 
 def ious(table: RunTable, fg: np.ndarray) -> np.ndarray:

@@ -28,11 +28,14 @@ class WeightVector:
     inv_maskprop: float
 
     def __post_init__(self):
-        arr = self.as_array()
-        if (arr < 0).any():
-            raise TrackmergeError(f"weights must be non-negative: {arr.tolist()}")
-        if abs(arr.sum() - 1.0) > 1e-9:
-            raise TrackmergeError(f"weights must sum to 1, got {arr.sum()!r}")
+        vals = [self.objectness, self.reid, self.maskprop, self.inv_reid, self.inv_maskprop]
+        # NaN fails both comparisons; no weight above 1 sums to 1 with the
+        # others, and huge ones would overflow the sum
+        if not all(0 <= v <= 1 + 1e-9 for v in vals):
+            raise TrackmergeError(f"weights must lie in [0, 1]: {[float(v) for v in vals]}")
+        total = math.fsum(vals)
+        if abs(total - 1.0) > 1e-9:
+            raise TrackmergeError(f"weights must sum to 1, got {total!r}")
 
     def as_array(self) -> np.ndarray:
         return np.array(

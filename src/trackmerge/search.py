@@ -185,7 +185,16 @@ def save_search_result(res: SearchResult, path):
 
 
 def load_top_k_weights(path) -> list:
-    """Re-load the top-k weight vectors written by save_search_result."""
+    """Re-load the top-k weight vectors written by save_search_result;
+    TrackmergeError when the file holds no such list."""
     with open(path, "r", encoding="utf-8") as f:
-        data = json.load(f)
-    return [WeightVector.from_array(w) for w in data["top_k"]]
+        try:
+            data = json.load(f)
+        except ValueError as e:  # not JSON, or not UTF-8
+            raise TrackmergeError(f"{path}: not valid JSON ({e})") from e
+    rows = data.get("top_k") if isinstance(data, dict) else None
+    if not isinstance(rows, list) or not all(
+        isinstance(w, list) and all(type(x) in (int, float) for x in w) for w in rows
+    ):
+        raise TrackmergeError(f"{path}: top_k must be an array of weight arrays")
+    return [WeightVector.from_array(w) for w in rows]

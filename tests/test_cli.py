@@ -162,6 +162,64 @@ class TestPipeline:
         )
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "weights", ["nan,0,0,0,1", "0,0,inf,0,0", "1e308,1e308,0,0,0", "-0.5,0.5,0.5,0.5,0"]
+    )
+    def test_non_finite_or_huge_weights_are_usage_errors(self, tmp_path, weights):
+        """Exit 2 with stderr holding only the JSON line: no overflow
+        warning, and no merge written with NaN scores."""
+        data = tmp_path / "data"
+        run("synth", "--out", str(data), "--preset", "single", "--seed", "0")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
+        out = tmp_path / "o"
+        proc = subprocess.run(
+            [sys.executable, "-m", "trackmerge.cli", "merge", "--manifest",
+             str(data / "manifest.json"), "--out", str(out), f"--weights={weights}"],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 2
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and json.loads(lines[0])["error"] == "usage"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            ({"best": {}}, "top_k"),
+            ({"top_k": 5}, "top_k"),
+            ({"top_k": [["0.2", 0.2, 0.2, 0.2, 0.2]]}, "top_k"),
+            ([[0.2, 0.2, 0.2, 0.2, 0.2]], "top_k"),
+            ({"top_k": [[float("nan"), 0, 0, 0, 1]]}, "[0, 1]"),
+            ({"top_k": [[1e308, 1e308, 0, 0, 0]]}, "[0, 1]"),
+            ({"top_k": [[0.5, 0.5, 0.5, 0, 0]]}, "sum to 1"),
+            ({"top_k": [[0.5, 0.5]]}, "5 weights"),
+        ],
+    )
+    def test_malformed_weights_file_is_data_error(self, tmp_path, capsys, content, message):
+        data = tmp_path / "data"
+        run("synth", "--out", str(data), "--preset", "single", "--seed", "0")
+        weights = tmp_path / "weights.json"
+        weights.write_text(json.dumps(content))  # NaN as the bare token json writes
+        capsys.readouterr()
+        out = tmp_path / "o"
+        code = run("merge", "--manifest", str(data / "manifest.json"), "--out", str(out),
+                   "--weights-file", str(weights))
+        assert code == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["error"] == "TrackmergeError" and message in err["message"]
+        assert not out.exists()
+
+    def test_weights_file_not_json_is_data_error(self, tmp_path, capsys):
+        weights = tmp_path / "weights.json"
+        weights.write_bytes(b"\xff{top_k")
+        code = run("merge", "--manifest", str(tmp_path / "none.json"), "--out",
+                   str(tmp_path / "o"), "--weights-file", str(weights))
+        assert code == 1
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "TrackmergeError" and "not valid JSON" in err["message"]
+
     def test_object_id_above_255_is_data_error(self, tmp_path, capsys):
         data = tmp_path / "data"
         run("synth", "--out", str(data), "--preset", "single", "--seed", "0")

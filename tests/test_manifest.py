@@ -2,7 +2,10 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from trackmerge import manifest as manifest_module
 from trackmerge.errors import ManifestError, MaskError
 from trackmerge.manifest import (
     Proposal,
@@ -10,7 +13,7 @@ from trackmerge.manifest import (
     load_manifest,
     save_manifest,
 )
-from trackmerge.mask import Mask, iou
+from trackmerge.mask import BBox, Mask, iou
 from trackmerge.synth import (
     ScenarioSpec,
     ShapeSpec,
@@ -292,15 +295,48 @@ def crowded_scenario(seed):
     )
 
 
+def rect(w, h, x0, y0, x1, y1, objectness, bbox="tight"):
+    """A rectangle proposal; bbox "tight", None or a BBox to store as is."""
+    m = Mask.from_dense(block(w, h, x0, y0, x1, y1))
+    box = m.bbox() if bbox == "tight" else bbox
+    return Proposal(0, m, box, objectness, np.zeros(4))
+
+
+@st.composite
+def crowded_frames(draw):
+    """One frame of many rectangles and ellipses, some clipped by the
+    border, some empty, repeated or sharing a score."""
+    w, h = draw(st.integers(1, 24)), draw(st.integers(1, 16))
+    ys, xs = np.mgrid[0:h, 0:w]
+    scores = st.one_of(st.sampled_from([0.05, 0.5, 0.9]), st.floats(0, 1))
+    frame = []
+    for _ in range(draw(st.integers(0, 24))):
+        if frame and draw(st.integers(0, 5)) == 0:  # an earlier mask again
+            m = draw(st.sampled_from(frame)).mask
+        else:
+            x0, y0 = draw(st.integers(-3, w)), draw(st.integers(-3, h))
+            x1, y1 = x0 + draw(st.integers(0, w)), y0 + draw(st.integers(0, h))
+            if draw(st.booleans()):
+                grid = (x0 <= xs) & (xs < x1) & (y0 <= ys) & (ys < y1)
+            else:
+                cx, cy, rx, ry = (x0 + x1) / 2, (y0 + y1) / 2, (x1 - x0) / 2, (y1 - y0) / 2
+                grid = ((xs + 0.5 - cx) * ry) ** 2 + ((ys + 0.5 - cy) * rx) ** 2 <= (rx * ry) ** 2
+            m = Mask.from_dense(grid)
+        frame.append(Proposal(0, m, None, draw(scores), np.zeros(4)))
+    return frame
+
+
 class TestFilterMatchesPairwiseNms:
     THRESHOLDS = (0.0, 0.3, 0.66, 1.0)
+    SCORES = (0.05, 0.5)
 
     def check(self, frames):
         for frame in frames:
-            for nms_iou in self.THRESHOLDS:
-                kept = filter_proposals(frame, 0.05, nms_iou)
-                expected = pairwise_nms(frame, 0.05, nms_iou)
-                assert [id(p) for p in kept] == [id(p) for p in expected]
+            for score_min in self.SCORES:
+                for nms_iou in self.THRESHOLDS:
+                    kept = filter_proposals(frame, score_min, nms_iou)
+                    expected = pairwise_nms(frame, score_min, nms_iou)
+                    assert [id(p) for p in kept] == [id(p) for p in expected]
 
     def test_random_scenarios(self):
         for seed in range(40):
@@ -321,6 +357,68 @@ class TestFilterMatchesPairwiseNms:
             make_proposal(block(6, 4, 0, 0, 6, 4), 0.5),
         ]
         self.check([props, props[::-1], []])
+
+    def test_boxes_touching_or_sharing_one_row_or_column(self):
+        # 12x10 image: one-pixel-wide bars and 3x3 blocks next to a kept
+        # one, touching it along an edge or sharing one column or row
+        bars = [
+            rect(12, 10, 4, 0, 5, 10, 0.9),
+            rect(12, 10, 5, 0, 6, 10, 0.8),  # touches: x1 == x0'
+            rect(12, 10, 3, 0, 4, 10, 0.7),  # touches on the left
+            rect(12, 10, 4, 0, 6, 10, 0.6),  # shares column 4: IoU 1/2
+            rect(12, 10, 0, 4, 12, 5, 0.5),  # crosses it: IoU 1/21
+        ]
+        blocks = [
+            rect(12, 10, 3, 3, 6, 6, 0.9),
+            rect(12, 10, 3, 6, 6, 9, 0.8),  # touches: y1 == y0'
+            rect(12, 10, 6, 3, 9, 6, 0.8),  # touches: x1 == x0'
+            rect(12, 10, 3, 5, 6, 8, 0.7),  # shares row 5: IoU 3/15
+            rect(12, 10, 5, 3, 8, 6, 0.7),  # shares column 5: IoU 3/15
+            rect(12, 10, 6, 6, 9, 9, 0.6),  # touches at a corner
+        ]
+        self.check([bars, bars[::-1], blocks, blocks[::-1], bars[:1] + blocks])
+
+    def test_full_height_masks_with_runs_across_columns(self):
+        # 7x5 image; runs that go on from the last row of one column into
+        # the next, whole columns, and runs that wrap more than one column
+        runs = [[3, 4, 28], [0, 10, 25], [5, 15, 15], [8, 13, 14], [12, 3, 20],
+                [0, 35], [4, 2, 29], [9, 20, 6], [30, 5]]
+        props = [Proposal(0, Mask(7, 5, r), None, s, np.zeros(4))
+                 for r, s in zip(runs, (0.9, 0.8, 0.8, 0.7, 0.6, 0.5, 0.4, 0.3, 0.2))]
+        self.check([props, props[::-1], props[1::2] + props[::2]])
+
+    def test_bbox_missing_or_wrong_is_not_read(self):
+        # each stored box misses its mask, or is None; the boxes of the
+        # masks decide, so the first suppresses the second (IoU 0.8)
+        wrong = BBox(0, 0, 1, 1)
+        a = rect(10, 6, 4, 0, 8, 6, 0.9, bbox=wrong)
+        b = rect(10, 6, 3, 0, 8, 6, 0.8, bbox=None)
+        c = rect(10, 6, 0, 0, 2, 6, 0.7, bbox=BBox(4, 0, 8, 6))
+        d = Proposal(0, Mask.empty(10, 6), BBox(0, 0, 10, 6), 0.6, np.zeros(4))
+        assert filter_proposals([a, b, c, d]) == [a, c, d]
+        self.check([[a, b, c, d], [d, c, b, a]])
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(crowded_frames())
+    def test_crowded_random_frames(self, frame):
+        self.check([frame])
+
+    def test_counts_only_where_the_iou_bound_reaches_the_threshold(self, monkeypatch):
+        counted = []
+        real = manifest_module.ious
+        monkeypatch.setattr(
+            manifest_module,
+            "ious",
+            lambda table, fg: counted.append(len(table.areas)) or real(table, fg),
+        )
+        # one-pixel-wide bars: touching ones share no pixel, so none is
+        # counted; the one sharing a column is
+        bars = [rect(12, 10, x, 0, x + 1, 10, 0.9 - x / 100) for x in range(12)]
+        assert filter_proposals(bars, 0.05, 0.3) == bars
+        assert counted == []
+        wide = rect(12, 10, 4, 0, 6, 10, 0.95)
+        assert filter_proposals([wide] + bars, 0.05, 0.3) == [wide] + bars[:4] + bars[6:]
+        assert counted == [2]
 
     def test_mismatched_shapes_rejected(self):
         a = make_proposal(block(6, 4, 0, 0, 3, 4), 0.9)

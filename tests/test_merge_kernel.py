@@ -1,6 +1,7 @@
 """The merge frame kernel: the per-frame flow source pairs and the
 sorted-index overlap of many proposals with one mask, checked for exact
-equality against the pixel-by-pixel naive reference."""
+equality against the pixel-by-pixel naive reference; and the boxes and IoU
+bounds that prune the proposal NMS."""
 
 import numpy as np
 from hypothesis import given, settings
@@ -8,7 +9,17 @@ from hypothesis import strategies as st
 
 from naive_reference import naive_iou, naive_round_half_away, naive_warp
 from trackmerge.flow import FlowField, source_pairs, warp_mask
-from trackmerge.mask import Mask, column_major, foreground, iou, ious, run_table
+from trackmerge.mask import (
+    Mask,
+    column_major,
+    foreground,
+    iou,
+    iou_bounds,
+    ious,
+    run_table,
+    sub_table,
+    table_boxes,
+)
 
 KERNEL = settings(max_examples=300, deadline=None, derandomize=True)
 
@@ -66,6 +77,13 @@ shapes = st.tuples(st.integers(1, 9), st.integers(1, 9))
 scenes = shapes.flatmap(
     lambda hw: st.tuples(grids(hw), st.lists(grids(hw), min_size=1, max_size=5), flows(hw))
 )
+frames = shapes.flatmap(lambda hw: st.lists(grids(hw), min_size=1, max_size=8))
+
+
+def naive_box(g):
+    """(x0, y0, x1, y1) of a grid's foreground, None when it has none."""
+    ys, xs = np.nonzero(g)
+    return (xs.min(), ys.min(), xs.max() + 1, ys.max() + 1) if xs.size else None
 
 
 def naive_source_index(vectors):
@@ -148,6 +166,14 @@ class TestOverlap:
         table = run_table([empty, Mask.full(3, 2)])
         assert ious(table, foreground(empty)).tolist() == [0.0, 0.0]
 
+    def test_sub_table_rows(self):
+        masks = [Mask(3, 2, [1, 2, 2, 1]), Mask.empty(3, 2), Mask.full(3, 2), Mask(3, 2, [4, 2])]
+        table = run_table(masks)
+        for rows in ([3, 0], [1], [2, 1, 3], [0, 0]):
+            got = sub_table(table, np.array(rows))
+            want = run_table([masks[i] for i in rows])
+            assert all(np.array_equal(a, b) for a, b in zip(got, want)), rows
+
     def test_run_table_offsets(self):
         # column-major 2x3 grid: foreground at flat offsets 1-2 and 5
         m = Mask(3, 2, [1, 2, 2, 1])
@@ -157,6 +183,60 @@ class TestOverlap:
         assert table.first.tolist() == [0, 0, 2]
         assert table.areas.tolist() == [0, 3]
         assert foreground(m).tolist() == [1, 2, 5]
+
+
+class TestBoxes:
+    @KERNEL
+    @given(frames)
+    def test_table_boxes_match_bbox(self, grids_):
+        masks = [Mask.from_dense(g) for g in grids_]
+        boxes = table_boxes(run_table(masks), masks[0].height)
+        assert boxes.shape == (4, len(masks)) and boxes.dtype == np.int64
+        for m, g, box in zip(masks, grids_, boxes.T.tolist()):
+            if m.is_empty:
+                assert box == [0, 0, 0, 0]
+            else:
+                b = m.bbox()
+                assert box == [b.x0, b.y0, b.x1, b.y1] == list(naive_box(g))
+
+    def test_wrapping_runs_span_every_row(self):
+        # 4x3 image: one run from the last row of column 0 into column 1,
+        # one from column 2 into the first row of column 3
+        masks = [Mask(4, 3, [2, 2, 8]), Mask(4, 3, [7, 3, 2]), Mask(4, 3, [4, 1, 7])]
+        assert table_boxes(run_table(masks), 3).T.tolist() == [
+            [0, 0, 2, 3], [2, 0, 4, 3], [1, 1, 2, 2]
+        ]
+
+    @KERNEL
+    @given(frames)
+    def test_iou_bounds_hold(self, grids_):
+        masks = [Mask.from_dense(g) for g in grids_]
+        bounds = iou_bounds(run_table(masks), masks[0].height)
+        assert np.array_equal(bounds, bounds.T)
+        for i, (a, ga) in enumerate(zip(masks, grids_)):
+            for j, (b, gb) in enumerate(zip(masks, grids_)):
+                assert bounds[i, j] >= iou(a, b)
+                boxes = naive_box(ga), naive_box(gb)
+                meet = None not in boxes and all(
+                    max(boxes[0][k], boxes[1][k]) < min(boxes[0][k + 2], boxes[1][k + 2])
+                    for k in (0, 1)
+                )
+                assert (bounds[i, j] > 0) == meet
+
+    def test_iou_bounds_at_box_edges(self):
+        # 8x6 image: a (3, 2)-(6, 5) box and boxes that touch it along an
+        # edge, share one column or one row, or hold it
+        def rect(x0, y0, x1, y1):
+            g = np.zeros((6, 8), bool)
+            g[y0:y1, x0:x1] = True
+            return Mask.from_dense(g)
+
+        masks = [rect(3, 2, 6, 5), rect(6, 2, 8, 5), rect(0, 5, 8, 6), rect(3, 0, 6, 2),
+                 rect(5, 2, 8, 5), rect(3, 4, 6, 6), rect(0, 0, 8, 6), Mask.empty(8, 6)]
+        bounds = iou_bounds(run_table(masks), 6)[0]
+        # touching: no shared pixel; one shared column: 3 of 9 + 9 - 3; one
+        # shared row of a 3x2 box: 3 of 9 + 6 - 3; holding it: 9 of 48
+        assert bounds.tolist() == [1.0, 0.0, 0.0, 0.0, 3 / 15, 3 / 12, 9 / 48, 0.0]
 
 
 class TestBBox:

@@ -28,6 +28,19 @@ class TestWeightVector:
         with pytest.raises(TrackmergeError):
             WeightVector(0.3, 0.3, 0.3, 0.3, 0.3)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite(self, bad):
+        # NaN fails no "< 0" test, and a NaN sum fails no "> tolerance" test
+        with pytest.raises(TrackmergeError, match=r"lie in \[0, 1\]"):
+            WeightVector(bad, 0.0, 0.0, 0.0, 1.0)
+        with pytest.raises(TrackmergeError, match=r"lie in \[0, 1\]"):
+            WeightVector.from_array([0.0, 0.0, 1.0, 0.0, bad])
+
+    @pytest.mark.filterwarnings("error")
+    def test_huge_weights_rejected_without_overflow_warning(self):
+        with pytest.raises(TrackmergeError, match=r"lie in \[0, 1\]"):
+            WeightVector.from_array([1e308, 1e308, 0.0, 0.0, 0.0])
+
     def test_equal(self):
         assert WeightVector.equal().as_array().sum() == pytest.approx(1.0)
 

@@ -51,14 +51,17 @@ class UsageError(Exception):
 
 
 def _jobs(args) -> int:
-    """--jobs, else TRACKMERGE_JOBS, else 1."""
-    if args.jobs is not None:
-        return args.jobs
-    raw = os.environ.get("TRACKMERGE_JOBS", "1")
-    try:
-        return int(raw)
-    except ValueError:
-        raise UsageError(f"TRACKMERGE_JOBS must be an integer, got {raw!r}") from None
+    """--jobs, else TRACKMERGE_JOBS, else 1; at least 1."""
+    name, jobs = "--jobs", args.jobs
+    if jobs is None:
+        name, raw = "TRACKMERGE_JOBS", os.environ.get("TRACKMERGE_JOBS", "1")
+        try:
+            jobs = int(raw)
+        except ValueError:
+            raise UsageError(f"TRACKMERGE_JOBS must be an integer, got {raw!r}") from None
+    if jobs < 1:
+        raise UsageError(f"{name} must be at least 1, got {jobs}")
+    return jobs
 
 
 def parse_weights(text: str) -> WeightVector:
@@ -114,12 +117,18 @@ def load_gt_dir(path):
 
 
 def cmd_synth(args):
-    if args.preset == "single":
-        spec = single_object_scenario(args.seed, frame_count=args.frames or 5)
-    elif args.preset == "crossing":
+    frames, preset = args.frames, args.preset
+    if frames is not None and preset == "crossing":
+        raise UsageError("--frames does not apply to --preset crossing (10 frames)")
+    least = 2 if preset == "random" else 1
+    if frames is not None and frames < least:
+        raise UsageError(f"--frames must be at least {least} for --preset {preset}, got {frames}")
+    if preset == "single":
+        spec = single_object_scenario(args.seed, frame_count=frames or 5)
+    elif preset == "crossing":
         spec = crossing_scenario(args.seed)
     else:
-        spec = random_scenario(args.seed, max_frames=args.frames or 6)
+        spec = random_scenario(args.seed, max_frames=frames or 6)
     save_scenario(generate(spec), args.out)
 
 
@@ -222,7 +231,7 @@ def build_parser():
     sp.add_argument("--out", required=True)
     sp.add_argument("--preset", choices=["single", "crossing", "random"], default="single")
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--frames", type=int, default=None)
+    sp.add_argument("--frames", type=int, default=None, help="single: 5; random: at most 6")
     sp.set_defaults(func=cmd_synth)
 
     sp = sub.add_parser("filter", help="score-threshold + NMS proposal filtering")

@@ -21,6 +21,7 @@ from .mask import (
     ious,
     run_table,
     sub_table,
+    table_boxes,
 )
 
 
@@ -189,10 +190,10 @@ def _mask_from_rle(rle, width, height, where) -> Mask:
         raise ManifestError(f"{where}.rle: {e}") from e
 
 
-def _proposal_from_json(obj, t, i, width, height) -> Proposal:
+def _proposal_from_json(obj, t, i, mask, tight) -> Proposal:
+    """Proposal i of frame t, with its parsed ``mask`` and the mask's tight
+    box ``tight`` (None for an empty mask)."""
     where = f"frames[{t}][{i}]"
-    mask = _mask_from_rle(_require(obj, "rle", where), width, height, where)
-    tight = None if mask.is_empty else mask.bbox()
     if "bbox" in obj and obj["bbox"] is not None:
         box = obj["bbox"]
         if not (isinstance(box, list) and len(box) == 4 and all(map(_is_int, box))):
@@ -214,6 +215,20 @@ def _proposal_from_json(obj, t, i, width, height) -> Proposal:
         objectness=float(objectness),
         embedding=np.asarray(_require_list(obj, "embedding", where, _is_real), np.float64),
     )
+
+
+def _frame_from_json(frame, t, width, height) -> list:
+    """The proposals of frame t. Every stored box is checked against the
+    tight boxes of the frame's masks, from one run table."""
+    masks = []
+    for i, obj in enumerate(frame):
+        where = f"frames[{t}][{i}]"
+        masks.append(_mask_from_rle(_require(obj, "rle", where), width, height, where))
+    boxes = table_boxes(run_table(masks), height).T.tolist() if masks else []
+    return [
+        _proposal_from_json(obj, t, i, m, None if m.is_empty else BBox(*box))
+        for i, (obj, m, box) in enumerate(zip(frame, masks, boxes))
+    ]
 
 
 def manifest_to_json(m: VideoManifest) -> dict:
@@ -281,7 +296,7 @@ def load_manifest(path) -> VideoManifest:
             )
         )
     frames = [
-        [_proposal_from_json(p, t, i, width, height) for i, p in enumerate(frame)]
+        _frame_from_json(frame, t, width, height)
         for t, frame in enumerate(
             _require_list(data, "frames", "manifest", lambda f: isinstance(f, list))
         )

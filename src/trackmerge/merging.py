@@ -40,10 +40,6 @@ from .scoring import (
 
 ALL_ACTIVE = (True, True, True, True, True)
 
-# Matrix-product scores closer than this to a tie are redone with
-# scoring.combine, the definition of a combined score.
-TIE = 1e-9
-
 
 @dataclass
 class TrackSet:
@@ -91,13 +87,6 @@ def _track_set(manifest: VideoManifest, keys, frames) -> TrackSet:
     return TrackSet(manifest.video_id, ids, selections, masks, label_maps, report)
 
 
-def _approx_scores(weights, sub) -> np.ndarray:
-    """The (g, n, J) combined scores of g weight rows by one matrix product:
-    within a few ulps of combine's np.dot, but not always equal to it."""
-    n, tracks = sub.shape[:2]
-    return (weights @ sub.reshape(n * tracks, 5).T).reshape(len(weights), n, tracks)
-
-
 def group_rows(keys):
     """The distinct rows of a 1-D or 2-D integer array, in lexicographic
     order, and for each the ascending indices of the rows equal to it."""
@@ -123,50 +112,25 @@ def _decide(sub, weights, group, ids, overlaps):
     that paint it, as positions in ``group``, and the combine() scores of the
     first of them, which it is painted with.
 
-    A state of one row is scored by combine alone. Otherwise _approx_scores
-    scores every row at once. It may round differently from combine's np.dot,
-    which defines the scores, so a row is scored again by combine where the
-    product is within TIE of a tie: a track's top-2 margin, or the selected
-    scores of two overlapping tracks, whose order decides the shared pixels.
-    Two tracks that select equal sub-score vectors tie exactly under any
-    weights; the lower object id wins, as in labelmap.paint, with no
-    rescoring.
+    Every row is scored by combine, the definition of a combined score, so
+    selections and paint orders follow exact scores. Two tracks that select
+    equal sub-score vectors tie exactly under any weights; the lower object
+    id wins, as in labelmap.paint, so such a pair never splits the rows.
     """
-    n, tracks = sub.shape[:2]
-    if len(group) == 1:  # one label map, painted with the exact scores anyway
+    tracks = sub.shape[1]
+    if len(group) == 1:  # one label map: nothing to split
         comb = combine(sub, weights[group[0]])
         return [(comb.argmax(axis=0), [(np.arange(1), comb)])]
-    scores = _approx_scores(weights[group], sub)
-    select = scores.argmax(axis=1)
-    exact = np.zeros(len(group), dtype=bool)
-
-    def rescore(rows):
-        for i in rows:
-            scores[i] = combine(sub, weights[group[i]])
-            select[i] = scores[i].argmax(axis=0)
-        exact[rows] = True
-
-    if n > 1:
-        ranked = np.partition(scores, n - 2, axis=1)
-        margin = ranked[:, n - 1] - ranked[:, n - 2]
-        rescore(np.flatnonzero((margin < TIE).any(axis=1)))
-
+    scores = combine(sub, weights[group])
     choices = []
-    for k, rows in zip(*group_rows(select)):
+    for k, rows in zip(*group_rows(scores.argmax(axis=1))):
         order = []  # per overlapping pair of tracks: is the first on top?
         for a in range(tracks):
             for b in range(a + 1, tracks):
-                if not overlaps(k[a], k[b]):
-                    continue  # no shared pixel
-                if np.array_equal(sub[k[a], a], sub[k[b], b]):
-                    continue  # an exact tie for every row
-                at = rows[:, None], k[[a, b]], [a, b]  # the two tracks' selected scores
-                sa, sb = scores[at].T
-                rescore(rows[~exact[rows] & (np.abs(sa - sb) < TIE)])
-                sa, sb = scores[at].T
-                order.append((sa > sb) | ((sa == sb) & (ids[a] < ids[b])))
+                if overlaps(k[a], k[b]):
+                    sa, sb = scores[rows[:, None], k[[a, b]], [a, b]].T  # their selected scores
+                    order.append((sa > sb) | ((sa == sb) & (ids[a] < ids[b])))
         variants = [rows[v] for v in group_rows(np.stack(order, axis=1))[1]] if order else [rows]
-        rescore([v[0] for v in variants if not exact[v[0]]])  # the scores each map is painted with
         choices.append((k, [(v, scores[v[0]]) for v in variants]))
     return choices
 

@@ -155,9 +155,12 @@ def frame_subscores(objectness, distances, max_distances, maskprop) -> np.ndarra
 
 def combine(sub, w) -> np.ndarray:
     """combined_score of every (proposal, track) pair of an (n, J, 5) tensor
-    under the weight row ``w`` (WeightVector.as_array order), one np.dot
-    each: a matrix product may round differently and flip ties."""
-    out = np.empty(sub.shape[:2])
-    for i, jj in np.ndindex(out.shape):
-        out[i, jj] = np.dot(sub[i, jj], w)
-    return out
+    under the weight row ``w`` (WeightVector.as_array order), as an (n, J)
+    array, or under each row of an (R, 5) array, as an (R, n, J) array.
+
+    np.vecdot runs np.dot's kernel pair by pair, so every score equals
+    combined_score's, bit for bit; a matrix product may round differently
+    and flip ties. Both operands are made contiguous first: over a strided
+    last axis the kernel may round differently too."""
+    sub, w = np.ascontiguousarray(sub), np.ascontiguousarray(w)
+    return np.vecdot(sub, w[..., None, None, :])

@@ -284,7 +284,10 @@ def random_scenario(
 ) -> ScenarioSpec:
     """Small random instance for property tests with exactly the drawn number
     of objects. Speeds are capped so every shape stays in the image; disjoint
-    layouts are found by rejection sampling (keeps the last draw if unlucky)."""
+    layouts are found by rejection sampling (keeps the last draw if unlucky).
+    The frame count is drawn from 2..max_frames."""
+    if max_frames < 2:
+        raise TrackmergeError(f"max_frames must be at least 2, got {max_frames}")
     rng = np.random.default_rng(seed)
     width, height = 28, 20
     frame_count = int(rng.integers(2, max_frames + 1))

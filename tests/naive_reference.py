@@ -21,7 +21,6 @@ from trackmerge.merging import ALL_ACTIVE, TrackSet
 from trackmerge.scoring import (
     COMPONENTS,
     WeightVector,
-    combine,
     compute_video_max_distances,
     effective_weights,
     embedding_distances,
@@ -146,10 +145,19 @@ def naive_selections(manifest, weights5, active5=(True,) * 5):
     return selections
 
 
+def per_pair_combine(sub, w):
+    """combined_score of every (proposal, track) pair of an (n, J, 5) tensor,
+    one np.dot per pair: the definition scoring.combine is held to."""
+    out = np.empty(sub.shape[:2])
+    for i, jj in np.ndindex(out.shape):
+        out[i, jj] = np.dot(sub[i, jj], w)
+    return out
+
+
 def reference_merge(manifest, weights=None, active=ALL_ACTIVE):
     """greedy_merge, one frame and one weight vector at a time: per frame,
-    the (n, J, 5) sub-scores, each track's first argmax of combine, and the
-    label map painted with those scores."""
+    the (n, J, 5) sub-scores, each track's first argmax of their per-pair
+    combined scores, and the label map painted with those scores."""
     weights = weights if weights is not None else WeightVector.equal()
     w = effective_weights(weights, active).as_array()
     distances = embedding_distances(manifest)
@@ -175,7 +183,7 @@ def reference_merge(manifest, weights=None, active=ALL_ACTIVE):
             prop = np.stack([ious(table, dest[column_major(m)[src]]) for m in previous], axis=1)
             objectness = [p.objectness for p in proposals]
             sub = frame_subscores(objectness, distances[t], max_dist, prop)
-            comb = combine(sub, w)
+            comb = per_pair_combine(sub, w)
         for jj, j in enumerate(ids):
             # first max wins: lowest index on ties
             k = int(np.argmax(comb[:, jj])) if proposals else None

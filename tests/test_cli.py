@@ -8,6 +8,7 @@ import pytest
 
 from trackmerge.cli import main, parse_components, parse_weights
 from trackmerge.cli import UsageError
+from trackmerge.synth import random_scenario
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -45,6 +46,52 @@ class TestParsing:
         assert parse_components("obj,maskprop") == (True, False, True, False, False)
         with pytest.raises(UsageError):
             parse_components("obj,warpiness")
+
+
+class TestCounts:
+    """--frames, --jobs and TRACKMERGE_JOBS out of range are usage errors:
+    exit 2, one JSON line on stderr, nothing written."""
+
+    def usage_message(self, capsys, *argv):
+        assert run(*argv) == 2
+        [line] = capsys.readouterr().err.strip().splitlines()
+        err = json.loads(line)
+        assert err["error"] == "usage"
+        return err["message"]
+
+    @pytest.mark.parametrize(
+        "preset, frames",
+        [("single", "0"), ("single", "-1"), ("random", "1"), ("random", "0"), ("random", "-3"),
+         ("crossing", "3"), ("crossing", "10")],
+    )
+    def test_bad_frames(self, tmp_path, capsys, preset, frames):
+        out = tmp_path / "data"
+        argv = "synth", "--out", str(out), "--preset", preset, "--frames", frames
+        assert "--frames" in self.usage_message(capsys, *argv)
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "preset, flags, count",
+        [("single", [], 5), ("single", ["--frames", "1"], 1), ("single", ["--frames", "3"], 3),
+         ("random", ["--frames", "2"], 2), ("random", [], random_scenario(4).frame_count)],
+    )
+    def test_frames(self, tmp_path, preset, flags, count):
+        data = tmp_path / "data"
+        assert run("synth", "--out", str(data), "--preset", preset, "--seed", "4", *flags) == 0
+        assert json.loads((data / "manifest.json").read_text())["frame_count"] == count
+
+    @pytest.mark.parametrize("jobs", ["0", "-2"])
+    def test_jobs_below_one(self, tmp_path, capsys, monkeypatch, jobs):
+        data, out = tmp_path / "data", tmp_path / "out"
+        run("synth", "--out", str(data), "--preset", "single", "--seed", "0")
+        merge = "merge", "--manifest", str(data / "manifest.json"), "--out", str(out)
+        search = "search", "--data", str(data), "--out", str(out / "s.json"), "--samples", "2"
+        for argv in (merge, search):
+            assert "--jobs" in self.usage_message(capsys, *argv, "--jobs", jobs)
+        monkeypatch.setenv("TRACKMERGE_JOBS", jobs)
+        for argv in (merge, search):
+            assert "TRACKMERGE_JOBS" in self.usage_message(capsys, *argv)
+        assert not out.exists()
 
 
 class TestPipeline:

@@ -189,6 +189,45 @@ class TestLoad:
         p = load_manifest(path).proposals[0][0]
         assert (p.bbox.x0, p.bbox.y0, p.bbox.x1, p.bbox.y1) == (0, 0, 1, 3)
 
+    @pytest.mark.parametrize(
+        "rle, bbox, error",
+        [
+            ([2, 2, 8], [0, 0, 2, 3], None),  # a run that wraps into the next column
+            ([2, 2, 8], [0, 0, 2, 1], r"frames\[0\]\[1\]\.bbox: not the tight bbox"),
+            ([12], None, r"frames\[0\]\[1\]: empty proposal mask has no bbox"),
+            ([12], [0, 0, 1, 1], r"frames\[0\]\[1\]\.bbox: not the tight bbox"),
+        ],
+    )
+    def test_boxes_checked_per_proposal_in_a_frame(self, tmp_path, rle, bbox, error):
+        # a frame's tight boxes come from one run table of its masks
+        data = json.loads(json.dumps(MINIMAL))
+        data["frames"] = [[
+            {"rle": [0, 3, 9], "bbox": [0, 0, 1, 3], "objectness": 0.5, "embedding": [0, 0]},
+            {"rle": rle, "bbox": bbox, "objectness": 0.5, "embedding": [0, 0]},
+            {"rle": [10, 2], "bbox": [3, 1, 4, 3], "objectness": 0.5, "embedding": [0, 0]},
+        ]]
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(data))
+        if error is None:
+            frame = load_manifest(path).proposals[0]
+            assert [p.bbox for p in frame] == [p.mask.bbox() for p in frame]
+        else:
+            with pytest.raises(ManifestError, match=error):
+                load_manifest(path)
+
+    def test_swapped_boxes_rejected(self, tmp_path):
+        save_scenario(generate(random_scenario(11)), tmp_path)
+        data = json.loads((tmp_path / "manifest.json").read_text())
+        loaded = load_manifest(tmp_path / "manifest.json")
+        assert all(p.bbox == p.mask.bbox() for frame in loaded.proposals for p in frame)
+        frames = data["frames"]
+        t = next(t for t, f in enumerate(frames) if len(f) > 1 and f[0]["bbox"] != f[1]["bbox"])
+        frame = frames[t]
+        frame[0]["bbox"], frame[1]["bbox"] = frame[1]["bbox"], frame[0]["bbox"]
+        (tmp_path / "manifest.json").write_text(json.dumps(data))
+        with pytest.raises(ManifestError, match=rf"frames\[{t}\]\[0\]\.bbox: not the tight"):
+            load_manifest(tmp_path / "manifest.json")
+
     def test_synth_round_trip(self, tmp_path):
         result = generate(random_scenario(11))
         save_scenario(result, tmp_path)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trackmerge.errors import TrackmergeError
 from trackmerge.flow import FlowField, warp_mask
@@ -246,3 +248,71 @@ class TestFrameArrays:
         assert compute_video_max_distances(manifest, distances) == compute_video_max_distances(
             manifest
         )
+
+
+# sub-scores and weights, with the values where rounding is easiest to get wrong
+EDGES = st.sampled_from((0.0, 1.0, 5e-324, 1 / 3))
+VALUES = st.one_of(EDGES, st.floats(0.0, 1.0))
+
+
+@st.composite
+def scored_frames(draw):
+    """An (n, J, 5) sub-score tensor and an (R, 5) array of simplex rows.
+    Some pairs share one sub-score vector; the tensor may be a view with a
+    strided last axis, and the weights may be in Fortran order."""
+    n, tracks, count = (draw(st.integers(1, 5)) for _ in range(3))
+    sub = np.array(draw(st.lists(VALUES, min_size=n * tracks * 5, max_size=n * tracks * 5)))
+    sub = sub.reshape(n, tracks, 5)
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, tracks - 1))
+    for a, b in draw(st.lists(st.tuples(pair, pair), max_size=3)):
+        sub[b] = sub[a]  # equal sub-score vectors
+    if draw(st.booleans()):
+        wide = np.zeros((n, tracks, 10))
+        wide[..., ::2] = sub
+        sub = wide[..., ::2]
+    row = st.lists(VALUES, min_size=5, max_size=5)
+    rows = np.array(draw(st.lists(row, min_size=count, max_size=count)))
+    rows[rows.sum(axis=1) == 0, 0] = 1.0
+    weights = rows / rows.sum(axis=1, keepdims=True)
+    if draw(st.booleans()):
+        weights = np.asfortranarray(weights)
+    return sub, weights
+
+
+def per_pair(sub, w):
+    """combined_score of every pair, each on a fresh contiguous vector."""
+    return [[combined_score(s, w) for s in ss] for ss in sub.tolist()]
+
+
+class TestCombine:
+    """combine, one kernel over every pair and weight row, equals
+    combined_score pair by pair, bit for bit."""
+
+    KERNEL = settings(max_examples=300, deadline=None, derandomize=True)
+
+    @KERNEL
+    @given(scored_frames())
+    def test_one_row(self, frame):
+        sub, weights = frame
+        out = combine(sub, weights[0])  # a strided row of Fortran-order weights
+        assert out.shape == sub.shape[:2]
+        assert out.tolist() == per_pair(sub, WeightVector.from_array(weights[0]))
+
+    @KERNEL
+    @given(scored_frames())
+    def test_many_rows(self, frame):
+        sub, weights = frame
+        out = combine(sub, weights)
+        assert out.shape == (len(weights), *sub.shape[:2])
+        for r, w in enumerate(weights):
+            assert out[r].tolist() == per_pair(sub, WeightVector.from_array(w))
+
+    def test_many_rows_over_a_large_frame(self):
+        # a matrix product over these rounds 50 of the 54,000 scores
+        # differently from np.dot (numpy 2.4, OpenBLAS), einsum about 20,000
+        rng = np.random.default_rng(0)
+        sub = rng.random((300, 3, 5))
+        weights = rng.dirichlet(np.ones(5), size=60)
+        out = combine(sub, weights)
+        for r, w in enumerate(weights):
+            assert out[r].tolist() == per_pair(sub, WeightVector.from_array(w))

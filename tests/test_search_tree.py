@@ -4,6 +4,7 @@ The merge is tests/naive_reference.reference_merge, one candidate at a time,
 not the walk that greedy_merge and the search share; greedy_merge is held to
 it here too."""
 
+import naive_reference
 import numpy as np
 import pytest
 
@@ -11,12 +12,13 @@ from naive_reference import reference_merge
 from trackmerge import merging
 from trackmerge.errors import TrackmergeError
 from trackmerge.flow import FlowField
+from trackmerge.labelmap import paint
 from trackmerge.manifest import GroundTruthObject, Proposal, VideoManifest, filter_manifest
 from trackmerge.mask import Mask
 from trackmerge.merging import greedy_merge
 from trackmerge.metrics import evaluate
 from trackmerge.search import SearchConfig, random_search, result_to_dict, sample_simplex
-from trackmerge.scoring import WeightVector
+from trackmerge.scoring import WeightVector, combined_score, frame_subscores
 from trackmerge.synth import (
     ScenarioSpec,
     ShapeSpec,
@@ -24,6 +26,10 @@ from trackmerge.synth import (
     generate,
     random_scenario,
 )
+
+
+# a score error far below any gap between distinct sub-scores of the corpora
+GUARD = 1e-9
 
 
 def candidates(cfg):
@@ -174,27 +180,55 @@ class TestScoresEqualPerCandidate:
         assert ts.selections == {5: [None, 0, 0], 2: [None, 0, 0]}
         assert set(np.unique(ts.label_maps[1].labels)) == {0, 2}
 
+    @pytest.mark.parametrize("name", ["crossing", "random_5", "small_0_5", "tie", "near_tie"])
+    def test_paints_carry_exact_scores(self, name):
+        # no approximate pass: every row of a paint selects the argmax of its
+        # own combined_score values and paints the label map with them, and
+        # the paint's scores are those of its first row, pair by pair
+        make, count = CORPORA[name]
+        cands = candidates(SearchConfig(sample_count=count, seed=7, top_k=3))
+        weights = np.stack([w.as_array() for w in cands])
+        for m, _ in make():
+            for t, paints in merging.merge_walk(m, weights):
+                for rows, selected, sub, comb, label_map in paints:
+                    if comb is None:
+                        continue
+                    masks = [m.proposals[t][k].mask for k in selected]
+                    for r in rows:
+                        exact = np.array([[combined_score(s, cands[r]) for s in ss] for ss in sub])
+                        assert (selected == exact.argmax(axis=0)).all()
+                        entries = [
+                            (j, mask, exact[k, jj])
+                            for jj, (j, mask, k) in enumerate(zip(m.object_ids, masks, selected))
+                        ]
+                        painted = paint(m.width, m.height, entries)
+                        assert np.array_equal(painted.labels, label_map.labels)
+                        if r == rows[0]:
+                            assert comb.tolist() == exact.tolist()
+
+
     @pytest.mark.parametrize("sign", [1, -1])
     @pytest.mark.parametrize("name", ["crossing", "random_5", "small_0_5", "tie", "near_tie"])
     def test_products_off_by_less_than_the_guard(self, name, sign, monkeypatch):
-        # the matrix product may round differently on another BLAS; any
-        # error below TIE must leave every score unchanged. The error here
-        # is random, plus a shift that lifts even tracks and lowers odd ones
-        # (or the reverse), so near ties between tracks go both ways
-        exact = merging._approx_scores
-        rng = np.random.default_rng(0)
+        # scores that differ by far less than any real sub-score gap (below
+        # GUARD) still decide selections and paint order, in the walk as in
+        # the per-candidate merge. Every sub-score is moved by a fixed error,
+        # random plus a shift that lifts even tracks and lowers odd ones (or
+        # the reverse), so exact and near ties between tracks go both ways
+        table = np.random.default_rng(0).uniform(-0.2, 0.2, (256, 8, 5))
 
-        def perturbed(weights, sub):
-            scores = exact(weights, sub)
-            shift = sign * (-1) ** np.arange(scores.shape[2])
-            return scores + (rng.uniform(-0.2, 0.2, scores.shape) + 0.2 * shift) * merging.TIE
+        def perturbed(*args):
+            sub = frame_subscores(*args)
+            n, tracks, _ = sub.shape
+            shift = sign * (-1) ** np.arange(tracks)
+            return sub + (table[:n, :tracks] + 0.2 * shift[:, None]) * GUARD
 
         make, count = CORPORA[name]
         videos = make()
         cfg = SearchConfig(sample_count=count, seed=7, top_k=3)
-        want = reference_scores(videos, cfg)
-        monkeypatch.setattr(merging, "_approx_scores", perturbed)
-        assert searched_scores(videos, cfg) == want
+        monkeypatch.setattr(merging, "frame_subscores", perturbed)
+        monkeypatch.setattr(naive_reference, "frame_subscores", perturbed)
+        assert searched_scores(videos, cfg) == reference_scores(videos, cfg)
         for w in candidates(cfg)[:10]:
             for m, _ in videos:
                 assert greedy_merge(m, w) == reference_merge(m, w)

@@ -231,6 +231,12 @@ class TestRandomScenario:
             h.update(repr(random_scenario(seed, **kwargs)).encode())
         assert h.hexdigest() == digest
 
+    @pytest.mark.parametrize("max_frames", [1, 0, -3])
+    def test_fewer_than_two_frames_rejected(self, max_frames):
+        # the frame count is drawn from 2..max_frames
+        with pytest.raises(TrackmergeError, match="max_frames must be at least 2"):
+            random_scenario(0, max_frames=max_frames)
+
     @pytest.mark.parametrize("max_frames", [20, 30])
     def test_long_videos_keep_the_drawn_object_count(self, max_frames):
         for seed in range(300):

@@ -206,15 +206,37 @@ class TestScoresEqualPerCandidate:
                         if r == rows[0]:
                             assert comb.tolist() == exact.tolist()
 
+    def test_decide_scores_every_row_exactly(self):
+        # a matrix product over this frame rounds 50 of its 54,000 scores
+        # differently from np.dot (numpy 2.4, OpenBLAS). Each call puts
+        # another row first in the group, so every row's scores are the
+        # ones some variant carries
+        rng = np.random.default_rng(0)
+        sub = rng.random((300, 3, 5))
+        weights = rng.dirichlet(np.ones(5), size=60)
+        exact = [naive_reference.per_pair_combine(sub, w) for w in weights]
+        for first in range(len(weights)):
+            group = np.roll(np.arange(len(weights)), -first)
+            choices = merging._decide(sub, weights, group, (1, 2, 3), lambda a, b: False)
+            seen = []
+            for k, variants in choices:
+                [(rows, comb)] = variants  # no overlaps: one label map per choice
+                for r in group[rows]:
+                    assert k.tolist() == exact[r].argmax(axis=0).tolist()
+                assert comb.tolist() == exact[group[rows[0]]].tolist()
+                seen.extend(rows.tolist())
+            assert sorted(seen) == list(range(len(weights)))
 
     @pytest.mark.parametrize("sign", [1, -1])
     @pytest.mark.parametrize("name", ["crossing", "random_5", "small_0_5", "tie", "near_tie"])
     def test_products_off_by_less_than_the_guard(self, name, sign, monkeypatch):
-        # scores that differ by far less than any real sub-score gap (below
-        # GUARD) still decide selections and paint order, in the walk as in
-        # the per-candidate merge. Every sub-score is moved by a fixed error,
-        # random plus a shift that lifts even tracks and lowers odd ones (or
-        # the reverse), so exact and near ties between tracks go both ways
+        # every combined score, the dot product of a weight row with a
+        # sub-score vector, is moved off by less than GUARD, far less than
+        # any real sub-score gap, and the walk still agrees with the
+        # per-candidate merge on selections and paint order. Every sub-score
+        # is moved by a fixed error, random plus a shift that lifts even
+        # tracks and lowers odd ones (or the reverse), so exact and near ties
+        # between tracks go both ways
         table = np.random.default_rng(0).uniform(-0.2, 0.2, (256, 8, 5))
 
         def perturbed(*args):

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import ManifestError, TrackmergeError
-from .flow import FlowField, load_flo
+from .flow import FlowField, load_flo, source_pairs
 from .mask import (
     BBox,
     Mask,
@@ -84,6 +84,8 @@ class VideoManifest:
     flow_paths: list  # list (len frame_count - 1) of str
     preloaded_flows: list | None = field(default=None, repr=False)
     base_dir: str = "."
+    # flow_pairs' memo for preloaded flows: t -> (flow, dest, src)
+    _pairs: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         # video_id names the video's result directory
@@ -102,6 +104,14 @@ class VideoManifest:
             raise ManifestError(
                 f"flows has {len(self.flow_paths)} entries, expected {self.frame_count - 1}"
             )
+        flows = self.preloaded_flows
+        if flows is not None:
+            if len(flows) != self.frame_count - 1:
+                raise ManifestError(
+                    f"preloaded_flows has {len(flows)} entries, expected {self.frame_count - 1}"
+                )
+            for t in range(1, self.frame_count):
+                self.flow(t)  # checks the flow's type and size
         if not self.ground_truth:
             raise ManifestError("ground_truth must contain at least one object")
         ids = [g.object_id for g in self.ground_truth]
@@ -130,19 +140,51 @@ class VideoManifest:
                 f"{self.width}x{self.height}"
             )
 
+    def _check_flow(self, f: FlowField, what: str):
+        if not isinstance(f, FlowField):
+            raise ManifestError(f"{what} is not a FlowField")
+        if f.width != self.width or f.height != self.height:
+            raise ManifestError(
+                f"{what} is {f.width}x{f.height}, video is {self.width}x{self.height}"
+            )
+
     def flow(self, t: int) -> FlowField:
         """Backward flow for frame t (1 <= t < frame_count)."""
         if not (1 <= t < self.frame_count):
             raise ManifestError(f"no flow for frame {t}")
-        if self.preloaded_flows is not None:
-            return self.preloaded_flows[t - 1]
-        f = load_flo(os.path.join(self.base_dir, self.flow_paths[t - 1]))
-        if f.width != self.width or f.height != self.height:
-            raise ManifestError(
-                f"flow {self.flow_paths[t - 1]} is {f.width}x{f.height}, "
-                f"video is {self.width}x{self.height}"
-            )
+        if self.preloaded_flows is not None:  # checked on every read: it may be replaced
+            f, what = self.preloaded_flows[t - 1], f"preloaded flow for frame {t}"
+        else:
+            f = load_flo(os.path.join(self.base_dir, self.flow_paths[t - 1]))
+            what = f"flow {self.flow_paths[t - 1]}"
+        self._check_flow(f, what)
         return f
+
+    def flow_pairs(self, t: int) -> tuple[np.ndarray, np.ndarray]:
+        """flow.source_pairs of frame t's flow.
+
+        A preloaded flow is swept once per manifest: its read-only pair is
+        kept, keyed on the FlowField itself, so a replaced flow is swept
+        again. Flows read from disk are swept on every call and nothing is
+        kept, so a merge holds one frame's pairs at a time."""
+        f = self.flow(t)
+        if self.preloaded_flows is None:
+            return source_pairs(f)
+        held = self._pairs.get(t)
+        if held is None or held[0] is not f:
+            dest, src = source_pairs(f)
+            dest.setflags(write=False)
+            src.setflags(write=False)
+            held = self._pairs[t] = (f, dest, src)
+        return held[1], held[2]
+
+    def __getstate__(self):  # pickles and copies leave the memo behind
+        state = dict(self.__dict__)
+        del state["_pairs"]
+        return state
+
+    def __setstate__(self, state):
+        self.__dict__.update(state, _pairs={})
 
     @property
     def object_ids(self):
@@ -165,6 +207,9 @@ def _is_real(v) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
+_REALS = frozenset({int, float})  # the JSON numbers, as _require_list's types
+
+
 def _require_int(obj, key, where) -> int:
     v = _require(obj, key, where)
     if not _is_int(v):
@@ -172,10 +217,11 @@ def _require_int(obj, key, where) -> int:
     return v
 
 
-def _require_list(obj, key, where, is_item=None) -> list:
-    """A JSON array, optionally with every item passing ``is_item``."""
+def _require_list(obj, key, where, types=None) -> list:
+    """A JSON array, optionally with every item's type in the set ``types``
+    (one C-level pass; json makes no subclasses, and bool is not int)."""
     v = _require(obj, key, where)
-    if not isinstance(v, list) or (is_item is not None and not all(map(is_item, v))):
+    if not isinstance(v, list) or (types is not None and not set(map(type, v)) <= types):
         raise ManifestError(f"{where}.{key}: not an array of the expected items")
     return v
 
@@ -213,7 +259,7 @@ def _proposal_from_json(obj, t, i, mask, tight) -> Proposal:
         mask=mask,
         bbox=box,
         objectness=float(objectness),
-        embedding=np.asarray(_require_list(obj, "embedding", where, _is_real), np.float64),
+        embedding=np.asarray(_require_list(obj, "embedding", where, _REALS), np.float64),
     )
 
 
@@ -292,16 +338,14 @@ def load_manifest(path) -> VideoManifest:
                 object_id=_require_int(obj, "object_id", where),
                 first_frame_mask=mask,
                 first_frame_bbox=mask.bbox(),
-                embedding=np.asarray(_require_list(obj, "embedding", where, _is_real), np.float64),
+                embedding=np.asarray(_require_list(obj, "embedding", where, _REALS), np.float64),
             )
         )
     frames = [
         _frame_from_json(frame, t, width, height)
-        for t, frame in enumerate(
-            _require_list(data, "frames", "manifest", lambda f: isinstance(f, list))
-        )
+        for t, frame in enumerate(_require_list(data, "frames", "manifest", {list}))
     ]
-    flow_paths = _require_list(data, "flows", "manifest", lambda p: isinstance(p, str))
+    flow_paths = _require_list(data, "flows", "manifest", {str})
     for p in flow_paths:
         if not os.path.isfile(os.path.join(base_dir, p)):
             raise ManifestError(f"flows: missing flow file '{p}'")

@@ -24,7 +24,6 @@ from itertools import zip_longest
 import numpy as np
 
 from .errors import TrackmergeError
-from .flow import source_pairs
 from .labelmap import LabelMap, paint, write_frames
 from .manifest import VideoManifest
 from .mask import Mask, column_major, foreground, ious, run_table
@@ -161,7 +160,7 @@ def merge_walk(manifest: VideoManifest, weights):
         masks = [p.mask for p in proposals]
         if masks:  # the run table and flow pairs are shared by all states and tracks
             table = run_table(masks)
-            dest, src = source_pairs(manifest.flow(t))
+            dest, src = manifest.flow_pairs(t)
             objectness = [p.objectness for p in proposals]
 
         @cache  # the frame's states share it

@@ -88,18 +88,18 @@ def reid_score(proposal_embedding, gt_embedding, video_max_distance: float) -> f
 
 def embedding_distances(manifest) -> list:
     """Per frame, the (proposals, objects) array of Euclidean distances from
-    each proposal embedding to each GT object embedding."""
-    gt = manifest.ground_truth
+    each proposal embedding to each GT object embedding.
 
-    def norm(d):  # what np.linalg.norm computes for a 1-D real vector
-        return math.sqrt(d.dot(d))
-
-    return [
-        np.array(
-            [[norm(p.embedding - g.embedding) for g in gt] for p in frame]
-        ).reshape(len(frame), len(gt))
-        for frame in manifest.proposals
-    ]
+    Each is sqrt(d.dot(d)) of the difference d, what np.linalg.norm gives
+    for a 1-D real vector: np.vecdot runs np.dot's kernel pair by pair over
+    the contiguous (n, J, dim) differences (see combine)."""
+    gt = np.array([g.embedding for g in manifest.ground_truth])
+    distances = []
+    for frame in manifest.proposals:
+        emb = np.array([p.embedding for p in frame]).reshape(len(frame), gt.shape[1])
+        d = emb[:, None, :] - gt
+        distances.append(np.sqrt(np.vecdot(d, d)))
+    return distances
 
 
 def compute_video_max_distances(manifest, distances=None) -> dict:

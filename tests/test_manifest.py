@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from trackmerge import manifest as manifest_module
 from trackmerge.errors import ManifestError, MaskError
+from trackmerge.flow import FlowField
 from trackmerge.manifest import (
     Proposal,
     filter_proposals,
@@ -14,6 +16,7 @@ from trackmerge.manifest import (
     save_manifest,
 )
 from trackmerge.mask import BBox, Mask, iou
+from trackmerge.merging import greedy_merge
 from trackmerge.synth import (
     ScenarioSpec,
     ShapeSpec,
@@ -136,6 +139,24 @@ class TestLoad:
             r"frames\[0\]\[0\]\.rle: expected an integer array",
         )
 
+    @pytest.mark.parametrize("bad", [True, "1", None, [0], [[0.5]]])
+    @pytest.mark.parametrize("owner", ["frames", "ground_truth"])
+    def test_embedding_elements_not_numbers(self, tmp_path, owner, bad):
+        where = r"frames\[0\]\[0\]" if owner == "frames" else r"ground_truth\[0\]"
+
+        def corrupt(m):
+            obj = m["frames"][0][0] if owner == "frames" else m["ground_truth"][0]
+            obj["embedding"][1] = bad
+
+        self.check_rejected(tmp_path, corrupt, rf"{where}\.embedding: not an array")
+
+    def test_embedding_integers_and_floats_accepted(self, tmp_path):
+        ok = json.loads(json.dumps(MINIMAL))
+        ok["ground_truth"][0]["embedding"] = [1, -2.5]
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(ok))
+        assert load_manifest(path).ground_truth[0].embedding.tolist() == [1.0, -2.5]
+
     def test_ground_truth_rle_with_a_boolean(self, tmp_path):
         self.check_rejected(
             tmp_path,
@@ -236,6 +257,39 @@ class TestLoad:
         assert (tmp_path / "manifest.json").read_bytes() == (
             tmp_path / "again.json"
         ).read_bytes()
+
+
+class TestPreloadedFlows:
+    """A manifest holds frame_count - 1 preloaded flows of the video's size."""
+
+    @staticmethod
+    def rebuilt(flows):
+        m = generate(crossing_scenario(0)).manifest
+        return replace(m, preloaded_flows=flows(m))
+
+    @pytest.mark.parametrize("width", [43, 37])  # 3 px wider or narrower
+    def test_flows_of_another_width_rejected(self, width):
+        with pytest.raises(ManifestError, match=rf"frame 1 is {width}x26, video is 40x26"):
+            self.rebuilt(lambda m: [FlowField.zero(width, m.height)] * (m.frame_count - 1))
+
+    def test_flows_of_another_height_rejected(self):
+        with pytest.raises(ManifestError, match=r"preloaded flow for frame 9 is 40x25"):
+            self.rebuilt(lambda m: m.preloaded_flows[:-1] + [FlowField.zero(40, 25)])
+
+    @pytest.mark.parametrize("count", [0, 1, 8, 10])
+    def test_wrong_number_of_flows_rejected(self, count):
+        with pytest.raises(ManifestError, match=rf"has {count} entries, expected 9"):
+            self.rebuilt(lambda m: [FlowField.zero(m.width, m.height)] * count)
+
+    def test_replaced_flow_of_another_size_rejected_when_read(self):
+        m = self.rebuilt(lambda m: list(m.preloaded_flows))
+        m.preloaded_flows[0] = FlowField.zero(43, 26)
+        with pytest.raises(ManifestError, match=r"preloaded flow for frame 1 is 43x26"):
+            greedy_merge(m)
+
+    def test_flow_not_a_flow_field_rejected(self):
+        with pytest.raises(ManifestError, match=r"preloaded flow for frame 3 is not a FlowField"):
+            self.rebuilt(lambda m: m.preloaded_flows[:2] + [None] + m.preloaded_flows[3:])
 
 
 class TestFilter:

@@ -1,3 +1,6 @@
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +8,7 @@ from hypothesis import strategies as st
 
 from trackmerge.errors import TrackmergeError
 from trackmerge.flow import FlowField, warp_mask
+from trackmerge.manifest import filter_manifest
 from trackmerge.mask import Mask, iou
 from trackmerge.scoring import (
     WeightVector,
@@ -18,7 +22,7 @@ from trackmerge.scoring import (
     reid_score,
 )
 from trackmerge.search import sample_simplex
-from trackmerge.synth import generate, random_scenario
+from trackmerge.synth import crossing_scenario, generate, random_scenario
 
 
 class TestWeightVector:
@@ -248,6 +252,53 @@ class TestFrameArrays:
         assert compute_video_max_distances(manifest, distances) == compute_video_max_distances(
             manifest
         )
+
+
+def per_pair_distances(manifest):
+    """Each proposal's distance to each GT embedding, one pair at a time."""
+    return [
+        [[math.sqrt((p.embedding - g.embedding).dot(p.embedding - g.embedding))
+          for g in manifest.ground_truth] for p in frame]
+        for frame in manifest.proposals
+    ]
+
+
+def empty_frame_manifest():
+    """crossing_scenario(0), filtered, with no proposals at frame 2."""
+    manifest = filter_manifest(generate(crossing_scenario(0)).manifest)
+    manifest.proposals[2] = []
+    return manifest
+
+
+class TestEmbeddingDistances:
+    """One vecdot per frame equals math.sqrt(d.dot(d)) pair by pair, bit for bit."""
+
+    def check(self, manifest):
+        distances = embedding_distances(manifest)
+        tracks = len(manifest.ground_truth)
+        assert [d.shape for d in distances] == [(len(f), tracks) for f in manifest.proposals]
+        assert [d.tolist() for d in distances] == per_pair_distances(manifest)
+
+    def test_empty_frame_corpus(self):
+        manifest = empty_frame_manifest()
+        assert embedding_distances(manifest)[2].shape == (0, 2)
+        self.check(manifest)
+
+    @pytest.mark.parametrize("dim", [1, 2, 16, 128, 257])
+    def test_embedding_dims(self, dim):
+        rng = np.random.default_rng(dim)
+        manifest = empty_frame_manifest()
+
+        def drawn(item):  # scales far apart, and some embeddings repeated
+            emb = rng.standard_normal(dim) * 10.0 ** rng.integers(-3, 4)
+            return replace(item, embedding=emb if rng.random() < 0.8 else np.ones(dim))
+
+        self.check(replace(
+            manifest,
+            embedding_dim=dim,
+            proposals=[[drawn(p) for p in frame] for frame in manifest.proposals],
+            ground_truth=[drawn(g) for g in manifest.ground_truth],
+        ))
 
 
 # sub-scores and weights, with the values where rounding is easiest to get wrong

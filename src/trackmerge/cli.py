@@ -64,6 +64,13 @@ def _jobs(args) -> int:
     return jobs
 
 
+def _seed(args) -> int:
+    """--seed; numpy's generators take no negative seed."""
+    if args.seed < 0:
+        raise UsageError(f"--seed must be non-negative, got {args.seed}")
+    return args.seed
+
+
 def parse_weights(text: str) -> WeightVector:
     """'equal' or five comma-separated reals; sums within 1% of 1 are
     normalized, anything further off is rejected as a typo."""
@@ -117,18 +124,18 @@ def load_gt_dir(path):
 
 
 def cmd_synth(args):
-    frames, preset = args.frames, args.preset
+    frames, preset, seed = args.frames, args.preset, _seed(args)
     if frames is not None and preset == "crossing":
         raise UsageError("--frames does not apply to --preset crossing (10 frames)")
     least = 2 if preset == "random" else 1
     if frames is not None and frames < least:
         raise UsageError(f"--frames must be at least {least} for --preset {preset}, got {frames}")
     if preset == "single":
-        spec = single_object_scenario(args.seed, frame_count=frames or 5)
+        spec = single_object_scenario(seed, frame_count=frames or 5)
     elif preset == "crossing":
-        spec = crossing_scenario(args.seed)
+        spec = crossing_scenario(seed)
     else:
-        spec = random_scenario(args.seed, max_frames=frames or 6)
+        spec = random_scenario(seed, max_frames=frames or 6)
     save_scenario(generate(spec), args.out)
 
 
@@ -180,7 +187,7 @@ def cmd_eval(args):
 
 
 def cmd_search(args):
-    jobs = _jobs(args)
+    jobs, seed = _jobs(args), _seed(args)
     videos = []
     for d in args.data:
         m = load_manifest(os.path.join(d, "manifest.json"))
@@ -188,7 +195,7 @@ def cmd_search(args):
         videos.append((m, load_gt_dir(os.path.join(d, "gt"))))
     cfg = SearchConfig(
         sample_count=args.samples,
-        seed=args.seed,
+        seed=seed,
         top_k=args.top_k,
         objective=args.objective,
     )

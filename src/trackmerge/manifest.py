@@ -226,6 +226,15 @@ def _require_list(obj, key, where, types=None) -> list:
     return v
 
 
+def _require_reals(obj, key, where) -> np.ndarray:
+    """A JSON array of numbers as float64."""
+    v = _require_list(obj, key, where, _REALS)
+    try:
+        return np.asarray(v, np.float64)
+    except OverflowError as e:  # an integer beyond the float range
+        raise ManifestError(f"{where}.{key}: {e}") from e
+
+
 def _mask_from_rle(rle, width, height, where) -> Mask:
     # one C-level pass over the element types; bool is a type of its own
     if not isinstance(rle, list) or not set(map(type, rle)) <= {int}:
@@ -254,12 +263,16 @@ def _proposal_from_json(obj, t, i, mask, tight) -> Proposal:
     objectness = _require(obj, "objectness", where)
     if not _is_real(objectness):
         raise ManifestError(f"{where}.objectness: expected a number, got {objectness!r}")
+    try:
+        objectness = float(objectness)
+    except OverflowError as e:
+        raise ManifestError(f"{where}.objectness: {e}") from e
     return Proposal(
         frame_index=t,
         mask=mask,
         bbox=box,
-        objectness=float(objectness),
-        embedding=np.asarray(_require_list(obj, "embedding", where, _REALS), np.float64),
+        objectness=objectness,
+        embedding=_require_reals(obj, "embedding", where),
     )
 
 
@@ -324,7 +337,7 @@ def load_manifest(path) -> VideoManifest:
     with open(path, "r", encoding="utf-8") as f:
         try:
             data = json.load(f)
-        except json.JSONDecodeError as e:
+        except ValueError as e:  # not JSON, or not UTF-8
             raise ManifestError(f"{path}: not valid JSON ({e})") from e
     base_dir = os.path.dirname(os.path.abspath(path))
     width = _require_int(data, "width", "manifest")
@@ -338,7 +351,7 @@ def load_manifest(path) -> VideoManifest:
                 object_id=_require_int(obj, "object_id", where),
                 first_frame_mask=mask,
                 first_frame_bbox=mask.bbox(),
-                embedding=np.asarray(_require_list(obj, "embedding", where, _REALS), np.float64),
+                embedding=_require_reals(obj, "embedding", where),
             )
         )
     frames = [

@@ -24,9 +24,10 @@ from itertools import zip_longest
 import numpy as np
 
 from .errors import TrackmergeError
-from .labelmap import LabelMap, paint, write_frames
+from .labelmap import paint, write_frames
 from .manifest import VideoManifest
 from .mask import Mask, column_major, foreground, ious, run_table
+from .metrics import full_video_gt
 from .scoring import (
     COMPONENTS,
     WeightVector,
@@ -58,12 +59,6 @@ class TrackSet:
     report: list = field(default_factory=list)
 
 
-def first_label_map(manifest: VideoManifest) -> LabelMap:
-    """Frame 0's label map: the given GT masks, shared pixels to the lowest id."""
-    gt = manifest.ground_truth
-    return paint(manifest.width, manifest.height, [(g.object_id, g.first_frame_mask, 0.0) for g in gt])
-
-
 def _track_set(manifest: VideoManifest, keys, frames) -> TrackSet:
     """The TrackSet of one merge. ``frames`` gives, for t = 1, 2, ..., frame
     t's label map and per track (k, *values): the selected proposal k and the
@@ -74,7 +69,9 @@ def _track_set(manifest: VideoManifest, keys, frames) -> TrackSet:
     fields = ("proposal", *keys)
     selections = {j: [None] for j in ids}
     masks = {j: [g.first_frame_mask] for j, g in zip(ids, manifest.ground_truth)}
-    label_maps = [first_label_map(manifest)]
+    # frame 0's label map: the given GT masks, shared pixels to the lowest id
+    first = [(j, m[0], 0.0) for j, m in masks.items()]
+    label_maps = [paint(manifest.width, manifest.height, first)]
     report = [{"frame": 0, "objects": {str(j): dict.fromkeys(fields) for j in ids}}]
     for t, (label_map, picks) in enumerate(frames, start=1):
         for j, (k, *_) in zip(ids, picks):
@@ -215,22 +212,14 @@ def oracle_merge(manifest: VideoManifest, gt_all_frames) -> TrackSet:
     """Evaluation-only upper bound: per frame and object, pick the proposal
     with the highest IoU against that object's full-video GT mask.
 
-    ``gt_all_frames`` is a list (length frame_count) of {object_id: Mask}.
+    ``gt_all_frames`` is a full-video GT (see metrics.full_video_gt) of the
+    manifest's objects and size.
     """
-    if len(gt_all_frames) != manifest.frame_count:
-        raise TrackmergeError(
-            f"full GT has {len(gt_all_frames)} frames, expected {manifest.frame_count}"
-        )
-    ids = manifest.object_ids
     w, h = manifest.width, manifest.height
-    for t, frame_gt in enumerate(gt_all_frames):
-        if set(frame_gt) != set(ids):
-            raise TrackmergeError(f"full GT frame {t} object set does not match manifest")
-        for j, m in frame_gt.items():
-            if (m.width, m.height) != (w, h):
-                raise TrackmergeError(
-                    f"full GT frame {t} object {j} is {m.width}x{m.height}, video is {w}x{h}"
-                )
+    ids = manifest.object_ids
+    gt_ids, _ = full_video_gt(gt_all_frames, manifest.frame_count, (w, h))
+    if gt_ids != sorted(ids):
+        raise TrackmergeError(f"full GT objects {gt_ids} differ from the manifest's {sorted(ids)}")
 
     frames = []
     for proposals, frame_gt in zip(manifest.proposals[1:], gt_all_frames[1:]):

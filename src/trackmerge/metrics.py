@@ -30,6 +30,7 @@ import csv
 import json
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -185,6 +186,41 @@ def score_frame(lm, gt, tolerance) -> list:
     return out
 
 
+def full_video_gt(gt_all_frames, frame_count, size=None, tolerance=None):
+    """Check a full-video GT and return (ids, score): its sorted object ids
+    and ``score(t, label_map)``, score_frame's list for frame t.
+
+    The GT is a list of ``frame_count`` {object_id: Mask} frames, at least
+    2. Every frame holds frame 0's objects, at least one, and no others: an
+    object absent from a frame is an empty mask. Every mask has one size,
+    ``size`` (width, height) when given. ``tolerance`` defaults to the
+    size's default_boundary_tolerance. Calls in frame order prepare each GT
+    frame once.
+    """
+    if len(gt_all_frames) != frame_count:
+        raise TrackmergeError(f"GT has {len(gt_all_frames)} frames, expected {frame_count}")
+    if frame_count < 2:
+        raise TrackmergeError("need at least 2 frames to evaluate")
+    ids = sorted(gt_all_frames[0])
+    if not ids:
+        raise TrackmergeError("GT frame 0 has no objects")
+    first = gt_all_frames[0][ids[0]]
+    w, h = size or (first.width, first.height)
+    for t, frame in enumerate(gt_all_frames):
+        if sorted(frame) != ids:
+            raise TrackmergeError(f"GT frame {t} has objects {sorted(frame)}, frame 0 has {ids}")
+        for j, m in frame.items():
+            if (m.width, m.height) != (w, h):
+                raise TrackmergeError(
+                    f"GT frame {t} object {j} is {m.width}x{m.height}, video is {w}x{h}"
+                )
+    if tolerance is None:
+        tolerance = default_boundary_tolerance(w, h)
+    _check_tolerance(tolerance)
+    prepared = lru_cache(1)(lambda t: prepare_frame(gt_all_frames[t], ids, tolerance))
+    return ids, lambda t, label_map: score_frame(label_map, prepared(t), tolerance)
+
+
 def summarize(ids, frame_scores) -> EvalResult:
     """The EvalResult of score_frame's lists for the evaluated frames, in
     frame order."""
@@ -211,37 +247,19 @@ def summarize(ids, frame_scores) -> EvalResult:
 
 
 def evaluate(pred_label_maps, gt_all_frames, tolerance=None, exclude_last=False) -> EvalResult:
-    """Score predicted label maps against per-frame per-object GT masks.
+    """Score predicted label maps against a full-video GT (see full_video_gt).
 
     Frame 0 is excluded (it is the given annotation); the last frame is
-    excluded too when ``exclude_last`` is set. ``gt_all_frames`` is a list of
-    {object_id: Mask}; every nonzero label in the predictions must be a GT
-    object id.
+    excluded too when ``exclude_last`` is set. Every nonzero label in the
+    predictions must be a GT object id.
     """
-    if len(pred_label_maps) != len(gt_all_frames):
-        raise TrackmergeError(
-            f"prediction has {len(pred_label_maps)} frames, GT has {len(gt_all_frames)}"
-        )
-    if len(pred_label_maps) < 2:
-        raise TrackmergeError("need at least 2 frames to evaluate")
-    ids = sorted(gt_all_frames[0])
+    ids, score = full_video_gt(gt_all_frames, len(pred_label_maps), tolerance=tolerance)
     for t, lm in enumerate(pred_label_maps):
         check_labels(t, lm, ids)
-    if tolerance is None:
-        tolerance = default_boundary_tolerance(
-            pred_label_maps[0].width, pred_label_maps[0].height
-        )
-
     stop = len(pred_label_maps) - 1 if exclude_last else len(pred_label_maps)
-    frames = range(1, stop)
-    if not frames:
+    if stop < 2:
         raise TrackmergeError("no frames left to evaluate")
-    _check_tolerance(tolerance)
-    scores = []
-    for t in frames:
-        gt = prepare_frame(gt_all_frames[t], ids, tolerance)
-        scores.append(score_frame(pred_label_maps[t], gt, tolerance))
-    return summarize(ids, scores)
+    return summarize(ids, [score(t, pred_label_maps[t]) for t in range(1, stop)])
 
 
 def result_to_dict(res: EvalResult) -> dict:

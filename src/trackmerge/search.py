@@ -4,10 +4,11 @@ with the equal-weights vector always force-included as candidate 0.
 
 Candidates share almost all of that work. Each video is merged under all of
 them in one merging.merge_walk, the walk greedy_merge takes with one row, so
-a candidate's merge is its greedy_merge by construction. Each distinct label
-map the walk paints is scored once against its frame's GT, and each leaf,
-one distinct sequence of scored label maps over the video, is summarized
-once, so the scores equal those of greedy_merge then evaluate, bit for bit.
+a candidate's merge is its greedy_merge by construction. The GT is checked
+and each distinct label map the walk paints is scored by evaluate's own
+metrics.full_video_gt, and each leaf, one distinct sequence of scored label
+maps over the video, is summarized by evaluate's summarize, so a
+candidate's scores are evaluate's of its greedy_merge by construction.
 """
 
 from __future__ import annotations
@@ -15,20 +16,13 @@ from __future__ import annotations
 import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from functools import lru_cache
 from itertools import repeat
 
 import numpy as np
 
 from .errors import TrackmergeError
-from .merging import first_label_map, group_rows, merge_walk
-from .metrics import (
-    check_labels,
-    default_boundary_tolerance,
-    prepare_frame,
-    score_frame,
-    summarize,
-)
+from .merging import group_rows, merge_walk
+from .metrics import full_video_gt, summarize
 from .scoring import WeightVector
 
 OBJECTIVES = ("jf_mean", "j_mean", "f_mean")
@@ -42,6 +36,8 @@ class SearchConfig:
     objective: str = "jf_mean"
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise TrackmergeError(f"seed must be non-negative, got {self.seed}")
         if self.sample_count < 1:
             raise TrackmergeError("sample_count must be positive")
         if not (1 <= self.top_k <= self.sample_count):
@@ -82,11 +78,11 @@ def _candidates(cfg: SearchConfig) -> np.ndarray:
 
 @dataclass
 class _Walk:
-    """One video's walk: each candidate's leaf and each leaf's score."""
+    """One video's walk: each candidate's score and the work shared."""
 
-    leaf: np.ndarray
-    scores: list
+    scores: np.ndarray
     states: int
+    leaves: int
 
 
 def _walk(video, weights, objective) -> _Walk:
@@ -94,15 +90,11 @@ def _walk(video, weights, objective) -> _Walk:
     full-video GT) pair."""
     manifest, gt = video
     frames = manifest.frame_count
-    # the checks evaluate() makes of every candidate's merge
-    if len(gt) != frames:
-        raise TrackmergeError(f"prediction has {frames} frames, GT has {len(gt)}")
-    if frames < 2:
-        raise TrackmergeError("need at least 2 frames to evaluate")
-    gt_ids = sorted(gt[0])
-    tolerance = default_boundary_tolerance(manifest.width, manifest.height)
-    check_labels(0, first_label_map(manifest), gt_ids)
-    prepared = lru_cache(1)(lambda t: prepare_frame(gt[t], gt_ids, tolerance))
+    gt_ids, score = full_video_gt(gt, frames, (manifest.width, manifest.height))
+    # the walk paints manifest ids only, so no label map needs checking
+    unknown = set(manifest.object_ids) - set(gt_ids)
+    if unknown:
+        raise TrackmergeError(f"manifest objects {sorted(unknown)} are not GT objects")
 
     # painted[t - 1, i]: the index in ``scored`` of the label map candidate i
     # paints at frame t
@@ -111,16 +103,15 @@ def _walk(video, weights, objective) -> _Walk:
     for t, paints in merge_walk(manifest, weights):
         states += 1
         for rows, *_, label_map in paints:
-            check_labels(t, label_map, gt_ids)
             painted[t - 1, rows] = len(scored)
-            scored.append(score_frame(label_map, prepared(t), tolerance))
+            scored.append(score(t, label_map))
 
     # a leaf is one distinct row of painted.T: one distinct merge of the video
-    leaf, scores = np.empty(len(weights), dtype=np.intp), []
-    for i, (row, group) in enumerate(zip(*group_rows(painted.T))):
-        leaf[group] = i
-        scores.append(getattr(summarize(gt_ids, [scored[m] for m in row]), objective))
-    return _Walk(leaf, scores, states)
+    scores = np.empty(len(weights))
+    leaves = list(zip(*group_rows(painted.T)))
+    for row, group in leaves:
+        scores[group] = getattr(summarize(gt_ids, [scored[m] for m in row]), objective)
+    return _Walk(scores, states, len(leaves))
 
 
 def random_search(videos, cfg: SearchConfig, jobs: int = 1) -> SearchResult:
@@ -144,12 +135,8 @@ def random_search(videos, cfg: SearchConfig, jobs: int = 1) -> SearchResult:
     else:
         walks = list(map(_walk, videos, *shared))
 
-    # candidates with the same leaf in every video share one mean
-    scores = [0.0] * len(weights)
-    for leaves, members in zip(*group_rows(np.stack([wk.leaf for wk in walks], axis=1))):
-        mean = float(np.mean([wk.scores[i] for wk, i in zip(walks, leaves)]))
-        for i in members.tolist():
-            scores[i] = mean
+    # row-wise, as np.mean of each candidate's list of video scores
+    scores = np.stack([wk.scores for wk in walks], axis=1).mean(axis=1).tolist()
 
     rows = weights.tolist()
     order = sorted(range(len(rows)), key=lambda i: (-scores[i], i))
@@ -162,7 +149,7 @@ def random_search(videos, cfg: SearchConfig, jobs: int = 1) -> SearchResult:
         top_k_weights=[w for _, w, _ in ranked[: cfg.top_k]],
         trace=trace,
         states=sum(wk.states for wk in walks),
-        leaves=sum(len(wk.scores) for wk in walks),
+        leaves=sum(wk.leaves for wk in walks),
     )
 
 
@@ -197,4 +184,7 @@ def load_top_k_weights(path) -> list:
         isinstance(w, list) and all(type(x) in (int, float) for x in w) for w in rows
     ):
         raise TrackmergeError(f"{path}: top_k must be an array of weight arrays")
-    return [WeightVector.from_array(w) for w in rows]
+    try:
+        return [WeightVector.from_array(w) for w in rows]
+    except OverflowError as e:  # an integer beyond the float range
+        raise TrackmergeError(f"{path}: top_k: {e}") from e

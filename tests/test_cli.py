@@ -94,6 +94,18 @@ class TestCounts:
         assert not out.exists()
 
 
+    @pytest.mark.parametrize("command", ["synth", "search"])
+    def test_negative_seed(self, tmp_path, capsys, command):
+        data, out = tmp_path / "data", tmp_path / "out"
+        run("synth", "--out", str(data), "--preset", "single", "--seed", "0")
+        argv = {
+            "synth": ["synth", "--out", str(out)],
+            "search": ["search", "--data", str(data), "--out", str(out), "--samples", "2"],
+        }[command]
+        assert "--seed" in self.usage_message(capsys, *argv, "--seed", "-1")
+        assert not out.exists()
+
+
 class TestPipeline:
     def test_single_object_end_to_end(self, tmp_path):
         data = tmp_path / "data"
@@ -240,6 +252,7 @@ class TestPipeline:
             ({"top_k": [[1e308, 1e308, 0, 0, 0]]}, "[0, 1]"),
             ({"top_k": [[0.5, 0.5, 0.5, 0, 0]]}, "sum to 1"),
             ({"top_k": [[0.5, 0.5]]}, "5 weights"),
+            ({"top_k": [[10**400, 0, 0, 0, 0]]}, "top_k"),
         ],
     )
     def test_malformed_weights_file_is_data_error(self, tmp_path, capsys, content, message):
@@ -397,6 +410,41 @@ class TestPipeline:
         assert code == 1
         err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert err["error"] == "ManifestError" and "width" in err["message"]
+
+    @pytest.mark.parametrize(
+        "path, field",
+        [
+            (("frames", 1, 0, "objectness"), "frames[1][0].objectness"),
+            (("frames", 1, 0, "embedding", 0), "frames[1][0].embedding"),
+            (("ground_truth", 0, "embedding", 2), "ground_truth[0].embedding"),
+        ],
+    )
+    def test_number_too_large_for_a_float_is_data_error(self, tmp_path, capsys, path, field):
+        data = tmp_path / "data"
+        run("synth", "--out", str(data), "--preset", "single", "--seed", "0")
+        manifest = json.loads((data / "manifest.json").read_text())
+        *parents, key = path
+        node = manifest
+        for p in parents:
+            node = node[p]
+        node[key] = 10**400
+        bad = data / "bad.json"
+        bad.write_text(json.dumps(manifest))
+        capsys.readouterr()
+        out = tmp_path / "o"
+        assert run("merge", "--manifest", str(bad), "--out", str(out)) == 1
+        err = self._last_error(capsys)
+        assert err["error"] == "ManifestError" and field in err["message"]
+        assert not out.exists()
+
+    def test_manifest_not_utf8_is_data_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b'{"video_id": "\xff"}')
+        out = tmp_path / "o"
+        assert run("merge", "--manifest", str(bad), "--out", str(out)) == 1
+        err = self._last_error(capsys)
+        assert err["error"] == "ManifestError" and "not valid JSON" in err["message"]
+        assert not out.exists()
 
     def test_ensemble_rejects_videos_only_in_later_inputs(self, tmp_path, capsys):
         manifests = []

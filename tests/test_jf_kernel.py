@@ -289,6 +289,12 @@ class TestRejected:
         with pytest.raises(MaskError):
             dilate(Mask.full(3, 3), math.nan)
 
+    def test_gt_without_objects(self):
+        # every label is background, so no label check catches it
+        lm = LabelMap.background(4, 4)
+        with pytest.raises(TrackmergeError, match="no objects"):
+            evaluate([lm, lm, lm], [{}, {}, {}])
+
     def test_unknown_label_message(self):
         m = Mask.full(4, 4)
         lm = LabelMap(4, 4, np.full((4, 4), 7, np.uint8))

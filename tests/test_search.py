@@ -85,6 +85,14 @@ class TestSearch:
         b = json.dumps(result_to_dict(random_search(corpus, cfg, jobs=3)))
         assert a == b
 
+    @pytest.mark.parametrize(
+        "config",
+        [{"seed": -1}, {"sample_count": 0}, {"top_k": 0}, {"objective": "f_recall"}],
+    )
+    def test_bad_config_rejected(self, config):
+        with pytest.raises(TrackmergeError):
+            SearchConfig(**config)
+
     def test_empty_corpus_rejected(self):
         with pytest.raises(TrackmergeError):
             random_search([], SearchConfig(sample_count=2))

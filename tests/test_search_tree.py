@@ -15,7 +15,7 @@ from trackmerge.flow import FlowField
 from trackmerge.labelmap import paint
 from trackmerge.manifest import GroundTruthObject, Proposal, VideoManifest, filter_manifest
 from trackmerge.mask import Mask
-from trackmerge.merging import greedy_merge
+from trackmerge.merging import greedy_merge, oracle_merge
 from trackmerge.metrics import evaluate
 from trackmerge.search import SearchConfig, random_search, result_to_dict, sample_simplex
 from trackmerge.scoring import WeightVector, combined_score, frame_subscores
@@ -310,8 +310,8 @@ class TestSharing:
 
 
 class TestSameErrors:
-    """The search raises TrackmergeError wherever scoring each candidate on
-    its own does."""
+    """The search and oracle_merge raise TrackmergeError wherever scoring each
+    candidate on its own does."""
 
     def check(self, videos):
         cfg = SearchConfig(sample_count=3, top_k=1)
@@ -319,6 +319,9 @@ class TestSameErrors:
             reference_scores(videos, cfg)
         with pytest.raises(TrackmergeError):
             random_search(videos, cfg)
+        with pytest.raises(TrackmergeError):
+            for manifest, gt in videos:
+                oracle_merge(manifest, gt)
 
     def test_frame_count_mismatch(self):
         manifest, gt = small_instance(0)
@@ -337,6 +340,21 @@ class TestSameErrors:
         manifest, gt = small_instance(1)
         dropped = manifest.object_ids[0]
         self.check([(manifest, [{j: m for j, m in g.items() if j != dropped} for g in gt])])
+
+    def test_gt_frame_missing_an_object(self):
+        manifest, gt = small_instance(1)
+        dropped = manifest.object_ids[0]
+        gt[2] = {j: m for j, m in gt[2].items() if j != dropped}
+        self.check([(manifest, gt)])
+
+    def test_gt_frame_with_an_extra_object(self):
+        manifest, gt = small_instance(1)
+        gt[3] = {**gt[3], 99: Mask.empty(manifest.width, manifest.height)}
+        self.check([(manifest, gt)])
+
+    def test_gt_without_objects(self):
+        manifest, gt = small_instance(1)
+        self.check([(manifest, [{} for _ in gt])])
 
     def test_bad_later_video(self):
         good = small_instance(0)

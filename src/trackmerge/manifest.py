@@ -253,13 +253,10 @@ def _proposal_from_json(obj, t, i, mask, tight) -> Proposal:
         box = obj["bbox"]
         if not (isinstance(box, list) and len(box) == 4 and all(map(_is_int, box))):
             raise ManifestError(f"{where}.bbox: expected 4 integers, got {box!r}")
-        box = BBox(*box)
-        if box != tight:
+        if tight is None or box != [tight.x0, tight.y0, tight.x1, tight.y1]:
             raise ManifestError(f"{where}.bbox: not the tight bbox of the mask")
-    else:
-        if tight is None:
-            raise ManifestError(f"{where}: empty proposal mask has no bbox")
-        box = tight
+    elif tight is None:
+        raise ManifestError(f"{where}: empty proposal mask has no bbox")
     objectness = _require(obj, "objectness", where)
     if not _is_real(objectness):
         raise ManifestError(f"{where}.objectness: expected a number, got {objectness!r}")
@@ -270,7 +267,7 @@ def _proposal_from_json(obj, t, i, mask, tight) -> Proposal:
     return Proposal(
         frame_index=t,
         mask=mask,
-        bbox=box,
+        bbox=tight,
         objectness=objectness,
         embedding=_require_reals(obj, "embedding", where),
     )
@@ -346,6 +343,8 @@ def load_manifest(path) -> VideoManifest:
     for k, obj in enumerate(_require_list(data, "ground_truth", "manifest")):
         where = f"ground_truth[{k}]"
         mask = _mask_from_rle(_require(obj, "rle", where), width, height, where)
+        if mask.is_empty:
+            raise ManifestError(f"{where}.rle: empty first-frame mask has no bounding box")
         gts.append(
             GroundTruthObject(
                 object_id=_require_int(obj, "object_id", where),

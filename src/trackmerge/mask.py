@@ -43,11 +43,13 @@ class BBox:
 class Mask:
     """Immutable binary mask of shape (height, width)."""
 
-    __slots__ = ("width", "height", "runs", "_dense", "_bounds")
+    __slots__ = ("width", "height", "runs", "_bounds")
 
     def __init__(self, width, height, runs):
         if width <= 0 or height <= 0:
             raise MaskError(f"mask dimensions must be positive, got {width}x{height}")
+        if width * height >= 2**63:  # run bounds are int64
+            raise MaskError(f"mask of {width}x{height} has too many pixels")
         runs = tuple(map(int, runs))
         if runs and min(runs) < 0:
             raise MaskError("negative run length")
@@ -61,7 +63,6 @@ class Mask:
         object.__setattr__(self, "width", int(width))
         object.__setattr__(self, "height", int(height))
         object.__setattr__(self, "runs", runs)
-        object.__setattr__(self, "_dense", None)
         object.__setattr__(self, "_bounds", None)
 
     def __setattr__(self, name, value):
@@ -136,12 +137,8 @@ class Mask:
         return cls(width, height, [0, width * height])
 
     def dense(self) -> np.ndarray:
-        """Decode to a dense (height, width) boolean grid (cached)."""
-        if self._dense is None:
-            grid = column_major(self).reshape((self.height, self.width), order="F")
-            grid.setflags(write=False)
-            object.__setattr__(self, "_dense", grid)
-        return self._dense
+        """Decode to a dense (height, width) boolean grid."""
+        return column_major(self).reshape((self.height, self.width), order="F")
 
     def bounds(self) -> np.ndarray:
         """Where each run ends, as a column-major offset: the cumulative sum
@@ -183,16 +180,9 @@ def check_same_shape(a: Mask, b: Mask):
 
 
 def intersection_area(a: Mask, b: Mask) -> int:
-    """Pixel count of a AND b, computed directly on the run lengths."""
+    """Pixel count of a AND b: b's foreground pixels inside a's runs."""
     check_same_shape(a, b)
-    ca, cb = a.bounds(), b.bounds()
-    ends = np.union1d(ca, cb)
-    starts = np.concatenate(([0], ends[:-1]))
-    lengths = ends - starts
-    # run index parity: even runs are background, odd are foreground
-    fa = np.searchsorted(ca, starts, side="right") % 2 == 1
-    fb = np.searchsorted(cb, starts, side="right") % 2 == 1
-    return int(lengths[fa & fb].sum())
+    return int(intersections(run_table([a]), foreground(b))[0])
 
 
 def iou(a: Mask, b: Mask, empty_empty: float = 0.0) -> float:
@@ -202,7 +192,6 @@ def iou(a: Mask, b: Mask, empty_empty: float = 0.0) -> float:
     contexts (an empty selection earns no credit), 1 in evaluation contexts
     (a correctly-empty prediction is perfect).
     """
-    check_same_shape(a, b)
     inter = intersection_area(a, b)
     union = a.area + b.area - inter
     if union == 0:
@@ -309,13 +298,19 @@ def iou_bounds(table: RunTable, height: int) -> np.ndarray:
     return out
 
 
+def intersections(table: RunTable, fg: np.ndarray) -> np.ndarray:
+    """How many of the ascending pixel indices ``fg`` each mask in the
+    table holds, two binary searches per run."""
+    per_run = np.searchsorted(fg, table.ends) - np.searchsorted(fg, table.starts)
+    cum = np.concatenate(([0], np.cumsum(per_run)))
+    return cum[table.first[1:]] - cum[table.first[:-1]]
+
+
 def ious(table: RunTable, fg: np.ndarray) -> np.ndarray:
     """IoU of every mask in the table with the mask whose foreground is
     ``fg``, as foreground gives it; 0 where both are empty. Exact integer
     counts, so each value equals iou(mask, other, empty_empty=0.0)."""
-    per_run = np.searchsorted(fg, table.ends) - np.searchsorted(fg, table.starts)
-    cum = np.concatenate(([0], np.cumsum(per_run)))
-    inter = cum[table.first[1:]] - cum[table.first[:-1]]
+    inter = intersections(table, fg)
     union = table.areas + len(fg) - inter
     out = np.zeros(len(inter))
     np.divide(inter, union, out=out, where=union > 0)

@@ -26,7 +26,7 @@ import numpy as np
 from .errors import TrackmergeError
 from .labelmap import paint, write_frames
 from .manifest import VideoManifest
-from .mask import Mask, column_major, foreground, ious, run_table
+from .mask import Mask, column_major, foreground, intersection_area, ious, run_table
 from .metrics import full_video_gt
 from .scoring import (
     COMPONENTS,
@@ -47,14 +47,12 @@ class TrackSet:
 
     ``selections[object_id][t]`` is the chosen proposal index for frame t
     (None for frame 0, which is the given GT, and for zero-proposal frames).
-    ``masks[object_id][t]`` is the full selected mask before overlap
-    resolution; ``label_maps[t]`` is the resolved per-pixel assignment.
+    ``label_maps[t]`` is the resolved per-pixel assignment.
     """
 
     video_id: str
     object_ids: list
     selections: dict
-    masks: dict
     label_maps: list
     report: list = field(default_factory=list)
 
@@ -65,22 +63,19 @@ def _track_set(manifest: VideoManifest, keys, frames) -> TrackSet:
     values of its report fields ``keys``, or (None,) where nothing was
     selected. Frame 0 is the given GT, with no selections."""
     ids = manifest.object_ids
-    empty = Mask.empty(manifest.width, manifest.height)
     fields = ("proposal", *keys)
     selections = {j: [None] for j in ids}
-    masks = {j: [g.first_frame_mask] for j, g in zip(ids, manifest.ground_truth)}
     # frame 0's label map: the given GT masks, shared pixels to the lowest id
-    first = [(j, m[0], 0.0) for j, m in masks.items()]
+    first = [(g.object_id, g.first_frame_mask, 0.0) for g in manifest.ground_truth]
     label_maps = [paint(manifest.width, manifest.height, first)]
     report = [{"frame": 0, "objects": {str(j): dict.fromkeys(fields) for j in ids}}]
     for t, (label_map, picks) in enumerate(frames, start=1):
         for j, (k, *_) in zip(ids, picks):
             selections[j].append(k)
-            masks[j].append(empty if k is None else manifest.proposals[t][k].mask)
         label_maps.append(label_map)
         objects = {str(j): dict(zip_longest(fields, pick)) for j, pick in zip(ids, picks)}
         report.append({"frame": t, "objects": objects})
-    return TrackSet(manifest.video_id, ids, selections, masks, label_maps, report)
+    return TrackSet(manifest.video_id, ids, selections, label_maps, report)
 
 
 def group_rows(keys):
@@ -162,7 +157,7 @@ def merge_walk(manifest: VideoManifest, weights):
 
         @cache  # the frame's states share it
         def overlaps(a, b, masks=masks):
-            return ious(run_table([masks[a]]), foreground(masks[b]))[0] > 0
+            return intersection_area(masks[a], masks[b]) > 0
 
         for key, group in zip(*group_rows(selected)):
             if masks:

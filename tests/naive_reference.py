@@ -202,4 +202,4 @@ def reference_merge(manifest, weights=None, active=ALL_ACTIVE):
         label_maps.append(paint(width, height, entries))
         report.append({"frame": t, "objects": objects})
 
-    return TrackSet(manifest.video_id, ids, selections, masks, label_maps, report)
+    return TrackSet(manifest.video_id, ids, selections, label_maps, report)

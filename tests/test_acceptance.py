@@ -288,7 +288,8 @@ def test_9_pipeline_determinism(tmp_path):
         for dirpath, _, files in os.walk(root):
             for name in sorted(files):
                 path = os.path.join(dirpath, name)
-                out[os.path.relpath(path, root)] = open(path, "rb").read()
+                with open(path, "rb") as f:
+                    out[os.path.relpath(path, root)] = f.read()
         return out
 
     first = pipeline(tmp_path / "run1", jobs=1)

@@ -22,7 +22,8 @@ def tree_bytes(root):
     for dirpath, _, files in os.walk(root):
         for name in sorted(files):
             path = os.path.join(dirpath, name)
-            out[os.path.relpath(path, root)] = open(path, "rb").read()
+            with open(path, "rb") as f:
+                out[os.path.relpath(path, root)] = f.read()
     return out
 
 
@@ -444,6 +445,34 @@ class TestPipeline:
         assert run("merge", "--manifest", str(bad), "--out", str(out)) == 1
         err = self._last_error(capsys)
         assert err["error"] == "ManifestError" and "not valid JSON" in err["message"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "edit, field",
+        [
+            # run bounds are int64: a frame of 10**30 pixels has none
+            (lambda m: m.update(width=10**30, height=1, frame_count=1,
+                                ground_truth=[{**m["ground_truth"][0], "rle": [10**30]}]),
+             "ground_truth[0].rle"),
+            (lambda m: m["frames"][1][0].update(bbox=[5, 5, 2, 2]), "frames[1][0].bbox"),
+            # an empty first-frame mask has no box
+            (lambda m: m["ground_truth"][0].update(rle=[m["width"] * m["height"]]),
+             "ground_truth[0].rle"),
+        ],
+        ids=["oversized_frame", "degenerate_bbox", "empty_gt_mask"],
+    )
+    def test_bad_mask_or_box_is_data_error(self, tmp_path, capsys, edit, field):
+        data = tmp_path / "data"
+        run("synth", "--out", str(data), "--preset", "single", "--seed", "0")
+        manifest = json.loads((data / "manifest.json").read_text())
+        edit(manifest)
+        bad = data / "bad.json"
+        bad.write_text(json.dumps(manifest))
+        capsys.readouterr()
+        out = tmp_path / "o"
+        assert run("merge", "--manifest", str(bad), "--out", str(out)) == 1
+        err = self._last_error(capsys)
+        assert err["error"] == "ManifestError" and err["message"].startswith(field)
         assert not out.exists()
 
     def test_ensemble_rejects_videos_only_in_later_inputs(self, tmp_path, capsys):

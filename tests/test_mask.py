@@ -267,9 +267,17 @@ class TestIoU:
 
     def test_rle_matches_dense_oracle(self):
         rng = np.random.default_rng(3)
-        for _ in range(100):
-            a = random_mask(rng, p=rng.random())
-            b = random_mask(rng, p=rng.random())
+        pairs = [(random_mask(rng, p=rng.random()), random_mask(rng, p=rng.random()))
+                 for _ in range(100)]
+        # runs that wrap into the next column, empty and full masks
+        edge = [Mask(4, 4, [3, 2, 6, 3, 2]), Mask(4, 4, [0, 5, 2, 9]),
+                Mask.empty(4, 4), Mask.full(4, 4)]
+        pairs += [(a, b) for a in edge for b in edge]
+        for w, h in ((1, 1), (1, 9), (9, 1)):  # one row: longer runs wrap
+            masks = [Mask.empty(w, h), Mask.full(w, h),
+                     *(random_mask(rng, w, h, p) for p in (0.3, 0.7) for _ in range(3))]
+            pairs += [(a, b) for a in masks for b in masks]
+        for a, b in pairs:
             inter = np.logical_and(a.dense(), b.dense()).sum()
             union = np.logical_or(a.dense(), b.dense()).sum()
             expected = inter / union if union else 0.0

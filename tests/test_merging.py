@@ -28,6 +28,15 @@ from trackmerge.synth import (
 )
 
 
+def selected_mask(manifest, ts, j, t):
+    """Track j's full mask at frame t, before overlap resolution: the GT at
+    frame 0, the selected proposal's mask after, empty where none was."""
+    if t == 0:
+        return {g.object_id: g.first_frame_mask for g in manifest.ground_truth}[j]
+    k = ts.selections[j][t]
+    return Mask.empty(manifest.width, manifest.height) if k is None else manifest.proposals[t][k].mask
+
+
 class TestGreedy:
     def test_singleton_proposals_always_selected(self):
         result = generate(single_object_scenario(seed=1))
@@ -43,7 +52,7 @@ class TestGreedy:
         manifest.proposals[2] = []
         ts = greedy_merge(manifest)
         assert ts.selections[1][2] is None
-        assert ts.masks[1][2].is_empty
+        assert selected_mask(manifest, ts, 1, 2).is_empty
         assert not np.any(ts.label_maps[2].labels)
         # frame 3 still selects (maskprop against the empty mask is 0,
         # the remaining components carry the decision)
@@ -84,13 +93,14 @@ class TestGreedy:
         for j in ts.object_ids:
             for t, lm in enumerate(ts.label_maps):
                 resolved = lm.object_mask(j).dense()
-                assert not (resolved & ~ts.masks[j][t].dense()).any()
+                assert not (resolved & ~selected_mask(result.manifest, ts, j, t).dense()).any()
 
     def test_frame0_is_ground_truth(self):
         result = generate(random_scenario(10))
         ts = greedy_merge(result.manifest)
         for j, g in zip(ts.object_ids, result.manifest.ground_truth):
-            assert ts.masks[j][0] == g.first_frame_mask
+            assert selected_mask(result.manifest, ts, j, 0) == g.first_frame_mask
+            assert ts.label_maps[0].object_mask(j) == g.first_frame_mask  # disjoint GT
             assert ts.selections[j][0] is None
 
     def test_maskprop_only_follows_flow_chain(self):
@@ -125,7 +135,7 @@ class TestGreedy:
         assert ts.selections[1][1] == 0 and ts.selections[2][1] == 0
         lm = ts.label_maps[1]
         total = (lm.labels != 0).sum()
-        assert total == ts.masks[1][1].area  # each pixel assigned exactly once
+        assert total == selected_mask(manifest, ts, 1, 1).area  # each pixel assigned exactly once
 
 
 class TestReport:
@@ -155,8 +165,8 @@ class TestReport:
                     p = manifest.proposals[t][entry["proposal"]]
                     reid = [reid_score(p.embedding, o.embedding, max_dist[o.object_id]) for o in gt]
                     prop = [
-                        iou(p.mask, warp_mask(ts.masks[o.object_id][t - 1], manifest.flow(t)),
-                            empty_empty=0.0)
+                        iou(p.mask, warp_mask(selected_mask(manifest, ts, o.object_id, t - 1),
+                                              manifest.flow(t)), empty_empty=0.0)
                         for o in gt
                     ]
                     sub = (p.objectness, reid[jj], prop[jj], *inverse_scores(reid, prop, jj))
@@ -173,7 +183,8 @@ class TestReport:
                 entry = ts.report[t]["objects"][str(j)]
                 if t == 1:
                     assert entry == {"proposal": None, "iou": None}
-                    assert ts.selections[j][1] is None and ts.masks[j][1].is_empty
+                    assert ts.selections[j][1] is None
+                    assert selected_mask(manifest, ts, j, 1).is_empty
                     continue
                 p = manifest.proposals[t][entry["proposal"]]
                 assert entry["iou"] == iou(p.mask, result.gt_all_frames[t][j])

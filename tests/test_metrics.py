@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -197,3 +199,22 @@ class TestEvaluate:
 
     def test_default_tolerance(self):
         assert default_boundary_tolerance(854, 480) == 8
+
+    def test_scored_gt_keeps_no_grids(self):
+        # every GT mask scored is decoded to a full grid; the caller keeps the
+        # GT, so a grid kept with its mask would outlive the evaluation
+        w, h, frames = 854, 480, 5
+        gt = [{j: block(w, h, 100 * j + t, 50, 100 * j + t + 80, 300) for j in (1, 2, 3)}
+              for t in range(frames)]
+        labels = np.zeros((h, w), np.uint8)
+        for j in (1, 2, 3):
+            labels[60:310, 100 * j : 100 * j + 80] = j
+        maps = [LabelMap(w, h, labels)] * frames
+        tracemalloc.start()
+        try:
+            res = evaluate(maps, gt)
+            kept, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert 0 < res.j_mean < 1
+        assert kept < 2**20  # one 854x480 grid alone is 410 kB

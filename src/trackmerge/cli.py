@@ -25,7 +25,7 @@ from .manifest import filter_manifest, load_manifest, save_manifest
 from .merging import greedy_merge, oracle_merge, save_trackset
 from .metrics import evaluate, write_report
 from .scoring import COMPONENTS, WeightVector, effective_weights
-from .search import SearchConfig, load_top_k_weights, random_search, save_search_result
+from .search import OBJECTIVES, SearchConfig, load_top_k_weights, random_search, save_search_result
 from .synth import (
     crossing_scenario,
     generate,
@@ -279,7 +279,7 @@ def build_parser():
     sp.add_argument("--samples", type=int, default=25000)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--top-k", type=int, default=11)
-    sp.add_argument("--objective", choices=["jf_mean", "j_mean", "f_mean"], default="jf_mean")
+    sp.add_argument("--objective", choices=OBJECTIVES, default="jf_mean")
     sp.add_argument("--score-min", type=float, default=0.05)
     sp.add_argument("--nms-iou", type=float, default=0.66)
     sp.add_argument("--jobs", type=int, default=None, help="default: $TRACKMERGE_JOBS or 1")

@@ -87,7 +87,10 @@ def read_pgm(path) -> LabelMap:
     m = _P5_HEADER.match(data)
     if not m:
         raise TrackmergeError(f"{path}: not a binary P5 PGM")
-    w, h, maxval = (int(g) for g in m.groups())
+    try:
+        w, h, maxval = (int(g) for g in m.groups())
+    except ValueError as e:  # more digits than int() converts
+        raise TrackmergeError(f"{path}: header number too long ({e})") from None
     if maxval != 255:
         raise TrackmergeError(f"{path}: expected maxval 255, got {maxval}")
     pixels = data[m.end() :]

@@ -21,7 +21,7 @@ from .mask import (
     ious,
     run_table,
     sub_table,
-    table_boxes,
+    tight_boxes,
 )
 
 
@@ -280,10 +280,9 @@ def _frame_from_json(frame, t, width, height) -> list:
     for i, obj in enumerate(frame):
         where = f"frames[{t}][{i}]"
         masks.append(_mask_from_rle(_require(obj, "rle", where), width, height, where))
-    boxes = table_boxes(run_table(masks), height).T.tolist() if masks else []
     return [
-        _proposal_from_json(obj, t, i, m, None if m.is_empty else BBox(*box))
-        for i, (obj, m, box) in enumerate(zip(frame, masks, boxes))
+        _proposal_from_json(obj, t, i, m, box)
+        for i, (obj, m, box) in enumerate(zip(frame, masks, tight_boxes(masks)))
     ]
 
 
@@ -334,7 +333,7 @@ def load_manifest(path) -> VideoManifest:
     with open(path, "r", encoding="utf-8") as f:
         try:
             data = json.load(f)
-        except ValueError as e:  # not JSON, or not UTF-8
+        except (ValueError, RecursionError) as e:  # not JSON, not UTF-8, or nested too deep
             raise ManifestError(f"{path}: not valid JSON ({e})") from e
     base_dir = os.path.dirname(os.path.abspath(path))
     width = _require_int(data, "width", "manifest")

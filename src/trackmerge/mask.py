@@ -161,15 +161,10 @@ class Mask:
 
     def bbox(self) -> BBox:
         """Tightest box containing all foreground pixels."""
-        if self.is_empty:
+        [box] = tight_boxes([self])
+        if box is None:
             raise MaskError("empty mask has no bounding box")
-        h, b = self.height, self.bounds()
-        first, last = b[0:-1:2], b[1::2] - 1  # per foreground run
-        if (first // h != last // h).any():  # a run that wraps spans all rows
-            y0, y1 = 0, h
-        else:
-            y0, y1 = int((first % h).min()), int((last % h).max()) + 1
-        return BBox(int(first[0] // h), y0, int(last[-1] // h) + 1, y1)
+        return box
 
 
 def check_same_shape(a: Mask, b: Mask):
@@ -255,10 +250,10 @@ def sub_table(table: RunTable, rows: np.ndarray) -> RunTable:
 
 def table_boxes(table: RunTable, height: int) -> np.ndarray:
     """Every mask's tight box from its runs, as a (4, n) int64 array whose
-    rows are x0, y0, x1, y1: Mask.bbox for a non-empty mask. A run that
-    wraps into the next column holds the last row of one column and the
-    first row of the next, so its mask spans every row. An empty mask gets
-    the box (0, 0, 0, 0), which shares no pixel with any box."""
+    rows are x0, y0, x1, y1. A run that wraps into the next column holds
+    the last row of one column and the first row of the next, so its mask
+    spans every row. An empty mask gets the box (0, 0, 0, 0), which shares
+    no pixel with any box."""
     boxes = np.zeros((4, len(table.areas)), np.int64)
     if not len(table.starts):
         return boxes
@@ -277,6 +272,15 @@ def table_boxes(table: RunTable, height: int) -> np.ndarray:
         np.maximum.reduceat(bottom, at),
     )
     return boxes
+
+
+def tight_boxes(masks) -> list:
+    """Each same-shape mask's tight BBox, None if it is empty, from one run table."""
+    if not masks:
+        return []
+    table = run_table(masks)
+    boxes = table_boxes(table, masks[0].height).T.tolist()
+    return [BBox(*b) if a else None for b, a in zip(boxes, table.areas)]
 
 
 def iou_bounds(table: RunTable, height: int) -> np.ndarray:
@@ -342,23 +346,21 @@ class Patch(NamedTuple):
 
 def patch(grid) -> Patch | None:
     """Crop a dense (height, width) grid to its foreground's bounding box;
-    None when it has no foreground."""
+    None when it has no foreground. The crop is a copy, so holding it does
+    not hold the grid."""
     rows = grid.any(axis=1).nonzero()[0]
     if rows.size == 0:
         return None
     cols = grid.any(axis=0).nonzero()[0]
     y0, y1, x0, x1 = int(rows[0]), int(rows[-1]) + 1, int(cols[0]), int(cols[-1]) + 1
-    return Patch(y0, x0, grid[y0:y1, x0:x1])
+    return Patch(y0, x0, grid[y0:y1, x0:x1].copy())
 
 
-def boundary_patch(grid) -> Patch | None:
-    """Foreground pixels of a dense grid that are 4-adjacent to background or
-    to the image border, in the box of the whole foreground. The box is
-    padded by one False pixel per side: past the box lies either background
-    or the border, which both count as outside."""
-    p = patch(grid)
-    if p is None:
-        return None
+def boundary_patch(p: Patch) -> Patch:
+    """Pixels of a Patch that are 4-adjacent to background or to the image
+    border, in the patch's box. The box is padded by one False pixel per
+    side: past a patch lies either background or the border, which both
+    count as outside."""
     h, w = p.grid.shape
     padded = np.zeros((h + 2, w + 2), dtype=bool)
     padded[1:-1, 1:-1] = p.grid
@@ -429,7 +431,7 @@ def boundary(m: Mask) -> Mask:
     """Foreground pixels 4-adjacent to background or to the image border."""
     if m.is_empty:
         return m
-    return Mask.from_patch(boundary_patch(m.dense()), m.width, m.height)
+    return Mask.from_patch(boundary_patch(patch(m.dense())), m.width, m.height)
 
 
 def dilate(m: Mask, radius: float) -> Mask:

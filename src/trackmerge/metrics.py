@@ -16,12 +16,12 @@ diagonal) pixels. They differ in the boundary and in the matching:
 
 Compare F between runs of this package, not with published DAVIS numbers.
 
-J and F are computed on dense boolean grids with numpy alone: J counts the
-intersection inside the GT object's bounding box and the prediction over
-the frame, F uses the bounding-box-cropped boundary and row-segment disk
-dilation kernel in ``mask``. A GT frame's boxes, areas, boundaries and
-their dilations are prepared once (``prepare_frame``) and shared by every
-label map scored against that frame.
+J and F run with numpy alone on crops: each scored object, predicted or GT,
+is cut once to its bounding box (``mask.patch``). J counts the pixels set in
+both crops, F applies the boundary and row-segment disk dilation kernel in
+``mask`` to them. A GT frame's crops, areas, boundaries and their dilations
+are prepared once (``prepare_frame``) and shared by every label map scored
+against that frame. ``j_measure`` alone is ``mask.iou`` on the runs.
 """
 
 from __future__ import annotations
@@ -43,6 +43,7 @@ from .mask import (
     check_same_shape,
     count_inside,
     dilate_patch,
+    iou,
     patch,
 )
 
@@ -54,8 +55,7 @@ def default_boundary_tolerance(width, height) -> int:
 
 def j_measure(pred: Mask, gt: Mask) -> float:
     """Region IoU with the evaluation convention empty-empty = 1."""
-    check_same_shape(pred, gt)
-    return _region_similarity(pred.dense(), patch(gt.dense()), gt.area)
+    return iou(pred, gt, empty_empty=1.0)
 
 
 def f_measure(pred: Mask, gt: Mask, tolerance: float) -> float:
@@ -64,7 +64,7 @@ def f_measure(pred: Mask, gt: Mask, tolerance: float) -> float:
     of the other mask's boundary (dilated-boundary approximation)."""
     _check_tolerance(tolerance)
     check_same_shape(pred, gt)
-    return _boundary_similarity(pred.dense(), _prepare(0, gt, tolerance), tolerance)
+    return _similarities(patch(pred.dense()), _prepare(0, gt, tolerance), tolerance)[1]
 
 
 def _check_tolerance(tolerance):
@@ -72,32 +72,22 @@ def _check_tolerance(tolerance):
         raise TrackmergeError(f"tolerance must be >= 0, got {tolerance}")
 
 
-def _region_similarity(pred, box: Patch | None, area) -> float:
-    """J of a dense boolean grid against a same-shape GT given as its
-    foreground's box (None when empty) and its area: the intersection lies
-    in the box."""
-    inter = 0 if box is None else np.count_nonzero(pred[box.slices] & box.grid)
-    union = np.count_nonzero(pred) + area - inter
-    return inter / union if union else 1.0
-
-
 class GTObject(NamedTuple):
     """One object's GT in one frame, prepared for scoring label maps."""
 
     object_id: int
     mask: Mask
-    box: Patch | None  # the mask in its bounding box, C-contiguous, for J
+    box: Patch | None  # the mask cropped to its bounding box, for J
     area: int
     boundary: Patch | None
     zone: Patch | None  # the boundary dilated by the tolerance
 
 
 def _prepare(object_id, gt: Mask, tolerance) -> GTObject:
-    dense = gt.dense()
-    gb = boundary_patch(dense)
-    if gb is None:
+    box = patch(gt.dense())
+    if box is None:
         return GTObject(object_id, gt, None, 0, None, None)
-    box = Patch(gb.y0, gb.x0, np.ascontiguousarray(dense[gb.slices]))
+    gb = boundary_patch(box)
     zone = dilate_patch(gb, tolerance, gt.height, gt.width)
     return GTObject(object_id, gt, box, gt.area, gb, zone)
 
@@ -108,19 +98,20 @@ def prepare_frame(gt_frame, ids, tolerance) -> list:
     return [_prepare(j, gt_frame[j], tolerance) for j in ids]
 
 
-def _boundary_similarity(pred, gt: GTObject, tolerance) -> float:
-    """F of a dense boolean grid against a same-shape prepared GT object."""
+def _similarities(pred: Patch | None, gt: GTObject, tolerance) -> tuple:
+    """(J, F) of a predicted object's crop, None when it is empty, against a
+    prepared GT object. An empty mask scores 1 against an empty mask, 0
+    against any other."""
+    if pred is None or gt.box is None:
+        both = 1.0 if pred is None and gt.box is None else 0.0
+        return both, both
+    inter = count_inside(pred, gt.box)
     pb, gb = boundary_patch(pred), gt.boundary
-    if pb is None and gb is None:
-        return 1.0
-    if pb is None or gb is None:
-        return 0.0
-    h, w = pred.shape
+    h, w = gt.mask.height, gt.mask.width
     precision = count_inside(pb, gt.zone) / pb.area
     recall = count_inside(gb, dilate_patch(pb, tolerance, h, w)) / gb.area
-    if precision + recall == 0:
-        return 0.0
-    return 2 * precision * recall / (precision + recall)
+    f = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
+    return inter / (pred.area + gt.area - inter), f
 
 
 def sequence_stats(per_frame_scores):
@@ -180,9 +171,7 @@ def score_frame(lm, gt, tolerance) -> list:
     out = []
     for obj in gt:
         check_same_shape(lm, obj.mask)
-        pred = lm.labels == obj.object_id
-        j = _region_similarity(pred, obj.box, obj.area)
-        out.append((j, _boundary_similarity(pred, obj, tolerance)))
+        out.append(_similarities(patch(lm.labels == obj.object_id), obj, tolerance))
     return out
 
 

@@ -177,7 +177,7 @@ def load_top_k_weights(path) -> list:
     with open(path, "r", encoding="utf-8") as f:
         try:
             data = json.load(f)
-        except ValueError as e:  # not JSON, or not UTF-8
+        except (ValueError, RecursionError) as e:  # not JSON, not UTF-8, or nested too deep
             raise TrackmergeError(f"{path}: not valid JSON ({e})") from e
     rows = data.get("top_k") if isinstance(data, dict) else None
     if not isinstance(rows, list) or not all(

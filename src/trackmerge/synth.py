@@ -24,7 +24,7 @@ from .errors import TrackmergeError
 from .flow import FlowField, save_flo
 from .labelmap import paint, write_frames
 from .manifest import GroundTruthObject, Proposal, VideoManifest, save_manifest
-from .mask import Mask, Patch
+from .mask import Mask, Patch, tight_boxes
 
 
 @dataclass(frozen=True)
@@ -61,6 +61,8 @@ class ScenarioSpec:
             raise TrackmergeError("scenario needs >= 1 frame and >= 1 object")
         for s in tuple(self.objects) + tuple(self.planted):
             w, h = s.size
+            if w < 1 or h < 1:
+                raise TrackmergeError(f"shape size {s.size} must be positive")
             if w > self.width or h > self.height:
                 raise TrackmergeError(f"shape {s.size} larger than image")
             for t in range(self.frame_count):
@@ -154,29 +156,25 @@ def generate(spec: ScenarioSpec) -> SynthResult:
 
     frames = []
     for t in range(spec.frame_count):
-        frame = []
+        frame = []  # (mask, objectness, embedding) per proposal, in draw order
         for j, s in enumerate(spec.objects):
-            m = gt_all_frames[t][j + 1]
-            frame.append(
-                Proposal(t, m, m.bbox(), s.objectness, noisy(archetypes[j]))
-            )
+            frame.append((gt_all_frames[t][j + 1], s.objectness, noisy(archetypes[j])))
         for k, s in enumerate(spec.planted):
             m = Mask.from_patch(_shape_patch(s, t), spec.width, spec.height)
-            frame.append(
-                Proposal(t, m, m.bbox(), s.objectness, noisy(archetypes[n_obj + k]))
-            )
+            frame.append((m, s.objectness, noisy(archetypes[n_obj + k])))
         for j, s in enumerate(spec.objects):
             if spec.spurious_rate > 0 and rng.random() < spec.spurious_rate:
                 shifted = _shift_mask(gt_patches[t][j], rng, spec.width, spec.height)
                 if shifted is not None:
                     obj = float(np.clip(s.objectness - rng.uniform(0.05, 0.3), 0.01, 1))
                     emb = archetypes[j] + max(spec.embedding_noise, 0.05) * rng.standard_normal(dim)
-                    frame.append(Proposal(t, shifted, shifted.bbox(), obj, emb))
+                    frame.append((shifted, obj, emb))
         for _ in range(spec.distractor_count):
             m = _rand_rect(rng, spec)
             obj = float(rng.uniform(0.1, 0.85))
-            frame.append(Proposal(t, m, m.bbox(), obj, _unit_vector(rng, dim)))
-        frames.append(frame)
+            frame.append((m, obj, _unit_vector(rng, dim)))
+        boxes = tight_boxes([m for m, _, _ in frame])
+        frames.append([Proposal(t, m, b, o, e) for (m, o, e), b in zip(frame, boxes)])
 
     manifest = VideoManifest(
         video_id=spec.video_id,
@@ -189,7 +187,7 @@ def generate(spec: ScenarioSpec) -> SynthResult:
             GroundTruthObject(
                 object_id=j + 1,
                 first_frame_mask=gt_all_frames[0][j + 1],
-                first_frame_bbox=gt_all_frames[0][j + 1].bbox(),
+                first_frame_bbox=frames[0][j].bbox,
                 embedding=np.array(archetypes[j]),
             )
             for j in range(n_obj)

@@ -272,6 +272,17 @@ class TestPipeline:
         assert err["error"] == "TrackmergeError" and message in err["message"]
         assert not out.exists()
 
+    def test_weights_file_nested_too_deep_is_data_error(self, tmp_path, capsys):
+        weights = tmp_path / "weights.json"
+        weights.write_text("[" * 200_000 + "]" * 200_000)
+        out = tmp_path / "o"
+        code = run("merge", "--manifest", str(tmp_path / "none.json"), "--out", str(out),
+                   "--weights-file", str(weights))
+        assert code == 1
+        err = self._last_error(capsys)
+        assert err["error"] == "TrackmergeError" and "not valid JSON" in err["message"]
+        assert not out.exists()
+
     def test_weights_file_not_json_is_data_error(self, tmp_path, capsys):
         weights = tmp_path / "weights.json"
         weights.write_bytes(b"\xff{top_k")
@@ -438,6 +449,15 @@ class TestPipeline:
         assert err["error"] == "ManifestError" and field in err["message"]
         assert not out.exists()
 
+    def test_manifest_nested_too_deep_is_data_error(self, tmp_path, capsys):
+        bad = tmp_path / "deep.json"
+        bad.write_text("[" * 200_000 + "]" * 200_000)
+        out = tmp_path / "o"
+        assert run("merge", "--manifest", str(bad), "--out", str(out)) == 1
+        err = self._last_error(capsys)
+        assert err["error"] == "ManifestError" and "not valid JSON" in err["message"]
+        assert not out.exists()
+
     def test_manifest_not_utf8_is_data_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_bytes(b'{"video_id": "\xff"}')
@@ -552,6 +572,19 @@ class TestPipeline:
         assert code == 1
         err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert err["error"] == "TrackmergeError" and "dimensions" in err["message"]
+
+    def test_pgm_header_number_too_long_is_data_error(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        run("synth", "--out", str(data), "--preset", "single", "--seed", "0")
+        pred = tmp_path / "pred"
+        pred.mkdir()
+        (pred / "00000.pgm").write_bytes(b"P5\n" + b"9" * 5000 + b" 4\n255\n")
+        capsys.readouterr()
+        code = run("eval", "--pred", str(pred), "--gt", str(data / "gt"),
+                   "--out", str(tmp_path / "r.json"))
+        assert code == 1
+        err = self._last_error(capsys)
+        assert err["error"] == "TrackmergeError" and "00000.pgm" in err["message"]
 
     def _last_error(self, capsys):
         lines = capsys.readouterr().err.strip().splitlines()

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from trackmerge.errors import MaskError, TrackmergeError
 from trackmerge.labelmap import LabelMap
-from trackmerge.mask import Mask, boundary, dilate, dilate_patch, patch
+from trackmerge.mask import Mask, Patch, boundary, boundary_patch, dilate, dilate_patch, patch
 from trackmerge.metrics import (
     ObjectResult,
     check_labels,
@@ -243,17 +243,62 @@ class TestEvaluateAgainstReference:
 
 
 class TestScoreFrame:
+    @staticmethod
+    def check(lm, frame, tolerance):
+        gt = prepare_frame({j: Mask.from_dense(g) for j, g in frame.items()}, (1, 2), tolerance)
+        expected = [
+            (ref_j(lm.labels == j, frame[j]), ref_f(lm.labels == j, frame[j], tolerance))
+            for j in (1, 2)
+        ]
+        assert score_frame(lm, gt, tolerance) == expected
+
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(videos(), st.sampled_from((0, 1, 2.5, 40)))
     def test_prepared_frame(self, video, tolerance):
         preds, gts = video
         for lm, frame in zip(preds, gts):
-            gt = prepare_frame({j: Mask.from_dense(g) for j, g in frame.items()}, (1, 2), tolerance)
-            expected = [
-                (ref_j(lm.labels == j, frame[j]), ref_f(lm.labels == j, frame[j], tolerance))
-                for j in (1, 2)
-            ]
-            assert score_frame(lm, gt, tolerance) == expected
+            self.check(lm, frame, tolerance)
+
+    @pytest.mark.parametrize("tolerance", [0, 1, 2.5, 40])
+    def test_edge_masks(self, tolerance):
+        # object 1 predicted as a and labelled b, object 2 predicted as
+        # what b keeps outside a and labelled a
+        cases = edge_grids()
+        for a in cases:
+            for b in cases:
+                labels = np.where(a, 1, np.where(b, 2, 0)).astype(np.uint8)
+                h, w = labels.shape
+                self.check(LabelMap(w, h, labels), {1: b, 2: a}, tolerance)
+
+
+class TestBoundaryPatch:
+    """boundary_patch takes any Patch: background margins inside the patch
+    change nothing, and its box is the patch's box."""
+
+    @staticmethod
+    def check(p: Patch, g):
+        b = boundary_patch(p)
+        assert (b.y0, b.x0, b.grid.shape) == (p.y0, p.x0, p.grid.shape)
+        frame = np.zeros_like(g)
+        frame[b.slices] = b.grid
+        assert np.array_equal(frame, ref_boundary(g))
+
+    def test_edge_masks(self):
+        for g in edge_grids():
+            self.check(Patch(0, 0, g), g)  # the whole frame
+            if g.any():
+                self.check(patch(g), g)
+
+    @KERNEL
+    @given(single, st.integers(0, 3), st.integers(0, 3))
+    def test_margins(self, g, dy, dx):
+        p = patch(g)
+        if p is None:
+            return
+        h, w = g.shape
+        y0, x0 = max(p.y0 - dy, 0), max(p.x0 - dx, 0)
+        y1, x1 = min(p.y0 + p.grid.shape[0] + dy, h), min(p.x0 + p.grid.shape[1] + dx, w)
+        self.check(Patch(y0, x0, g[y0:y1, x0:x1]), g)
 
 
 class TestRejected:

@@ -19,6 +19,7 @@ from trackmerge.mask import (
     run_table,
     sub_table,
     table_boxes,
+    tight_boxes,
 )
 
 KERNEL = settings(max_examples=300, deadline=None, derandomize=True)
@@ -192,12 +193,16 @@ class TestBoxes:
         masks = [Mask.from_dense(g) for g in grids_]
         boxes = table_boxes(run_table(masks), masks[0].height)
         assert boxes.shape == (4, len(masks)) and boxes.dtype == np.int64
-        for m, g, box in zip(masks, grids_, boxes.T.tolist()):
+        for m, g, box, tight in zip(masks, grids_, boxes.T.tolist(), tight_boxes(masks)):
             if m.is_empty:
-                assert box == [0, 0, 0, 0]
+                assert box == [0, 0, 0, 0] and tight is None
             else:
                 b = m.bbox()
                 assert box == [b.x0, b.y0, b.x1, b.y1] == list(naive_box(g))
+                assert tight == b
+
+    def test_tight_boxes_of_no_masks(self):
+        assert tight_boxes([]) == []
 
     def test_wrapping_runs_span_every_row(self):
         # 4x3 image: one run from the last row of column 0 into column 1,

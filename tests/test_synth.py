@@ -59,6 +59,17 @@ class TestGenerate:
                 objects=(ShapeSpec("rect", (10, 2), (0, 0), (0, 0)),),
             )
 
+    @pytest.mark.parametrize("size", [(0, 2), (2, 0), (-1, 3)])
+    def test_empty_shape_rejected(self, size):
+        with pytest.raises(TrackmergeError, match="must be positive"):
+            ScenarioSpec(
+                seed=0,
+                frame_count=2,
+                width=8,
+                height=8,
+                objects=(ShapeSpec("rect", size, (0, 0), (0, 0)),),
+            )
+
     def test_escaping_trajectory_rejected(self):
         with pytest.raises(TrackmergeError):
             ScenarioSpec(

@@ -9,7 +9,7 @@ import re
 
 import numpy as np
 
-from .errors import TrackmergeError
+from .errors import TrackmergeError, shown
 from .mask import Mask, foreground
 
 
@@ -27,7 +27,8 @@ class LabelMap:
             raise TrackmergeError(
                 f"label grid shape {arr.shape} does not match {width}x{height}"
             )
-        if arr.min() < 0 or arr.max() > 255:
+        # a uint8 grid holds nothing else
+        if arr.dtype != np.uint8 and (arr.min() < 0 or arr.max() > 255):
             raise TrackmergeError("labels must lie in [0, 255]")
         arr = arr.astype(np.uint8, order="C")
         arr.setflags(write=False)
@@ -92,10 +93,10 @@ def read_pgm(path) -> LabelMap:
     except ValueError as e:  # more digits than int() converts
         raise TrackmergeError(f"{path}: header number too long ({e})") from None
     if maxval != 255:
-        raise TrackmergeError(f"{path}: expected maxval 255, got {maxval}")
+        raise TrackmergeError(f"{path}: expected maxval 255, got {shown(maxval)}")
     pixels = data[m.end() :]
     if len(pixels) != w * h:
-        raise TrackmergeError(f"{path}: payload is {len(pixels)} bytes, expected {w * h}")
+        raise TrackmergeError(f"{path}: payload is {len(pixels)} bytes, expected {shown(w * h)}")
     return LabelMap(w, h, np.frombuffer(pixels, np.uint8).reshape((h, w)))
 
 

@@ -5,18 +5,21 @@ and proposal filtering: score threshold plus mask-IoU non-maximum suppression.
 from __future__ import annotations
 
 import json
+import operator
 import os
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import ManifestError, TrackmergeError
+from .errors import ManifestError, TrackmergeError, shown
 from .flow import FlowField, load_flo, source_pairs
 from .mask import (
     BBox,
     Mask,
+    RunTable,
     check_same_shape,
     foreground,
+    intersection_area,
     iou_bounds,
     ious,
     run_table,
@@ -58,12 +61,47 @@ class GroundTruthObject:
     def __post_init__(self):
         # label maps store object ids in one byte (see LabelMap)
         if not 1 <= self.object_id <= 255:
-            raise ManifestError(f"object_id must lie in 1..255, got {self.object_id}")
+            raise ManifestError(f"object_id must lie in 1..255, got {shown(self.object_id)}")
         emb = np.asarray(self.embedding, dtype=np.float64)
         if emb.ndim != 1 or not np.isfinite(emb).all():
             raise ManifestError("embedding must be a 1D finite vector")
         emb.setflags(write=False)
         object.__setattr__(self, "embedding", emb)
+
+
+def _same(a: tuple, b: tuple) -> bool:
+    """Whether two tuples hold the very same objects, in order."""
+    return len(a) == len(b) and all(map(operator.is_, a, b))
+
+
+@dataclass(eq=False)
+class FrameMemo:
+    """What merging.merge_walk computes at one frame t that no weight
+    changes, built from frame t's ``flow``, its proposal ``masks`` and the
+    ``previous`` masks (frame t-1's proposal masks, or the GT first-frame
+    masks at t = 1). ``dest`` and ``src`` are flow.source_pairs of the flow
+    (read-only) and ``table`` the run table of ``masks``. The two dicts fill
+    as merges walk the frame: ``maskprop`` maps each state's selection row
+    at t-1 (one proposal index per track, -1: none) to its read-only (n, J)
+    maskprop IoUs, and ``overlap`` each pair of proposals asked about to
+    whether they share a pixel.
+    """
+
+    flow: FlowField
+    masks: tuple
+    previous: tuple
+    dest: np.ndarray
+    src: np.ndarray
+    table: RunTable
+    maskprop: dict = field(default_factory=dict)
+    overlap: dict = field(default_factory=dict)
+
+    def overlaps(self, a, b) -> bool:
+        """Whether the frame's proposals a and b share a pixel."""
+        hit = self.overlap.get((a, b))
+        if hit is None:
+            hit = self.overlap[a, b] = intersection_area(self.masks[a], self.masks[b]) > 0
+        return hit
 
 
 @dataclass
@@ -84,31 +122,33 @@ class VideoManifest:
     flow_paths: list  # list (len frame_count - 1) of str
     preloaded_flows: list | None = field(default=None, repr=False)
     base_dir: str = "."
-    # flow_pairs' memo for preloaded flows: t -> (flow, dest, src)
+    # frame_memo's memo for preloaded flows: t -> FrameMemo
     _pairs: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         # video_id names the video's result directory
         v = self.video_id
         if not isinstance(v, str) or v in ("", ".", "..") or any(c in v for c in "/\\\0"):
-            raise ManifestError(f"video_id must be a plain directory name, got {v!r}")
+            raise ManifestError(f"video_id must be a plain directory name, got {shown(v)}")
         if self.frame_count <= 0:
             raise ManifestError("frame_count must be positive")
         if self.embedding_dim <= 0:
             raise ManifestError("embedding_dim must be positive")
         if len(self.proposals) != self.frame_count:
             raise ManifestError(
-                f"frames has {len(self.proposals)} entries, expected {self.frame_count}"
+                f"frames has {len(self.proposals)} entries, expected {shown(self.frame_count)}"
             )
         if len(self.flow_paths) != self.frame_count - 1:
             raise ManifestError(
-                f"flows has {len(self.flow_paths)} entries, expected {self.frame_count - 1}"
+                f"flows has {len(self.flow_paths)} entries, "
+                f"expected {shown(self.frame_count - 1)}"
             )
         flows = self.preloaded_flows
         if flows is not None:
             if len(flows) != self.frame_count - 1:
                 raise ManifestError(
-                    f"preloaded_flows has {len(flows)} entries, expected {self.frame_count - 1}"
+                    f"preloaded_flows has {len(flows)} entries, "
+                    f"expected {shown(self.frame_count - 1)}"
                 )
             for t in range(1, self.frame_count):
                 self.flow(t)  # checks the flow's type and size
@@ -122,7 +162,7 @@ class VideoManifest:
             if len(g.embedding) != self.embedding_dim:
                 raise ManifestError(
                     f"ground_truth[{g.object_id}].embedding has length "
-                    f"{len(g.embedding)}, expected {self.embedding_dim}"
+                    f"{len(g.embedding)}, expected {shown(self.embedding_dim)}"
                 )
         for t, frame in enumerate(self.proposals):
             for i, p in enumerate(frame):
@@ -130,7 +170,7 @@ class VideoManifest:
                 if len(p.embedding) != self.embedding_dim:
                     raise ManifestError(
                         f"frames[{t}][{i}].embedding has length "
-                        f"{len(p.embedding)}, expected {self.embedding_dim}"
+                        f"{len(p.embedding)}, expected {shown(self.embedding_dim)}"
                     )
 
     def _check_mask(self, m: Mask, where: str):
@@ -160,23 +200,34 @@ class VideoManifest:
         self._check_flow(f, what)
         return f
 
-    def flow_pairs(self, t: int) -> tuple[np.ndarray, np.ndarray]:
-        """flow.source_pairs of frame t's flow.
+    def frame_memo(self, t: int) -> FrameMemo:
+        """The FrameMemo of frame t, which must have proposals.
 
-        A preloaded flow is swept once per manifest: its read-only pair is
-        kept, keyed on the FlowField itself, so a replaced flow is swept
-        again. Flows read from disk are swept on every call and nothing is
-        kept, so a merge holds one frame's pairs at a time."""
+        With preloaded flows it is kept, so every merge of this manifest
+        object shares it, while its flow, masks and previous masks are the
+        very objects the manifest holds (compared with ``is``). When one is
+        replaced it is rebuilt, reusing the swept pairs while the flow is
+        the same, so a preloaded flow is swept once. With flows read from
+        disk nothing is kept: each call reads and sweeps the flow again."""
         f = self.flow(t)
-        if self.preloaded_flows is None:
-            return source_pairs(f)
+        masks = tuple(p.mask for p in self.proposals[t])
+        if t == 1:
+            previous = tuple(g.first_frame_mask for g in self.ground_truth)
+        else:
+            previous = tuple(p.mask for p in self.proposals[t - 1])
         held = self._pairs.get(t)
-        if held is None or held[0] is not f:
+        if held is not None and held.flow is f:
+            if _same(held.masks, masks) and _same(held.previous, previous):
+                return held
+            dest, src = held.dest, held.src
+        else:
             dest, src = source_pairs(f)
             dest.setflags(write=False)
             src.setflags(write=False)
-            held = self._pairs[t] = (f, dest, src)
-        return held[1], held[2]
+        memo = FrameMemo(f, masks, previous, dest, src, run_table(masks))
+        if self.preloaded_flows is not None:
+            self._pairs[t] = memo
+        return memo
 
     def __getstate__(self):  # pickles and copies leave the memo behind
         state = dict(self.__dict__)
@@ -213,7 +264,7 @@ _REALS = frozenset({int, float})  # the JSON numbers, as _require_list's types
 def _require_int(obj, key, where) -> int:
     v = _require(obj, key, where)
     if not _is_int(v):
-        raise ManifestError(f"{where}.{key}: expected an integer, got {v!r}")
+        raise ManifestError(f"{where}.{key}: expected an integer, got {shown(v)}")
     return v
 
 
@@ -252,14 +303,14 @@ def _proposal_from_json(obj, t, i, mask, tight) -> Proposal:
     if "bbox" in obj and obj["bbox"] is not None:
         box = obj["bbox"]
         if not (isinstance(box, list) and len(box) == 4 and all(map(_is_int, box))):
-            raise ManifestError(f"{where}.bbox: expected 4 integers, got {box!r}")
+            raise ManifestError(f"{where}.bbox: expected 4 integers, got {shown(box)}")
         if tight is None or box != [tight.x0, tight.y0, tight.x1, tight.y1]:
             raise ManifestError(f"{where}.bbox: not the tight bbox of the mask")
     elif tight is None:
         raise ManifestError(f"{where}: empty proposal mask has no bbox")
     objectness = _require(obj, "objectness", where)
     if not _is_real(objectness):
-        raise ManifestError(f"{where}.objectness: expected a number, got {objectness!r}")
+        raise ManifestError(f"{where}.objectness: expected a number, got {shown(objectness)}")
     try:
         objectness = float(objectness)
     except OverflowError as e:

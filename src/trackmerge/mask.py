@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import MaskError
+from .errors import MaskError, shown
 
 
 @dataclass(frozen=True)
@@ -47,9 +47,11 @@ class Mask:
 
     def __init__(self, width, height, runs):
         if width <= 0 or height <= 0:
-            raise MaskError(f"mask dimensions must be positive, got {width}x{height}")
+            raise MaskError(
+                f"mask dimensions must be positive, got {shown(width)}x{shown(height)}"
+            )
         if width * height >= 2**63:  # run bounds are int64
-            raise MaskError(f"mask of {width}x{height} has too many pixels")
+            raise MaskError(f"mask of {shown(width)}x{shown(height)} has too many pixels")
         runs = tuple(map(int, runs))
         if runs and min(runs) < 0:
             raise MaskError("negative run length")
@@ -58,7 +60,7 @@ class Mask:
         total = sum(runs)
         if total != width * height:
             raise MaskError(
-                f"runs sum to {total}, expected {width * height} for {width}x{height}"
+                f"runs sum to {shown(total)}, expected {width * height} for {width}x{height}"
             )
         object.__setattr__(self, "width", int(width))
         object.__setattr__(self, "height", int(height))
@@ -346,13 +348,15 @@ class Patch(NamedTuple):
 
 def patch(grid) -> Patch | None:
     """Crop a dense (height, width) grid to its foreground's bounding box;
-    None when it has no foreground. The crop is a copy, so holding it does
-    not hold the grid."""
+    None when it has no foreground. The columns are looked for in the
+    foreground's rows only. The crop is a copy, so holding it does not hold
+    the grid."""
     rows = grid.any(axis=1).nonzero()[0]
     if rows.size == 0:
         return None
-    cols = grid.any(axis=0).nonzero()[0]
-    y0, y1, x0, x1 = int(rows[0]), int(rows[-1]) + 1, int(cols[0]), int(cols[-1]) + 1
+    y0, y1 = int(rows[0]), int(rows[-1]) + 1
+    cols = grid[y0:y1].any(axis=0).nonzero()[0]
+    x0, x1 = int(cols[0]), int(cols[-1]) + 1
     return Patch(y0, x0, grid[y0:y1, x0:x1].copy())
 
 

@@ -11,6 +11,18 @@ states of frame t are the distinct selections at t-1 among the rows. A state
 builds its sub-score tensor once, splits its rows by what they select and by
 the paint order of overlapping selections (_decide), and paints each distinct
 label map once.
+
+What a frame computes without the weights lives in the manifest's per-frame
+memo (VideoManifest.frame_memo): the flow's source pairs, the frame's run
+table, each state's maskprop IoUs, keyed by its selection row at t-1, and
+whether two proposals overlap. A manifest with preloaded flows keeps it, so
+repeated merges of one in-memory manifest (the top-k merges, or merges after
+a search of it) compute these once per state, and each later walk computes
+only the states no earlier walk reached. A frame's entry is recomputed when
+its flow, its proposal masks or frame t-1's (the GT first-frame masks at
+t = 1) are replaced by other objects. The sub-scores, combine(), the argmax
+and paint() run on every walk, so every output is as without the memo. A
+manifest that reads its flows from disk keeps nothing.
 """
 
 from __future__ import annotations
@@ -18,15 +30,14 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, field
-from functools import cache
 from itertools import zip_longest
 
 import numpy as np
 
 from .errors import TrackmergeError
 from .labelmap import paint, write_frames
-from .manifest import VideoManifest
-from .mask import Mask, column_major, foreground, intersection_area, ious, run_table
+from .manifest import FrameMemo, VideoManifest
+from .mask import Mask, column_major, foreground, ious, run_table
 from .metrics import full_video_gt
 from .scoring import (
     COMPONENTS,
@@ -126,6 +137,16 @@ def _decide(sub, weights, group, ids, overlaps):
     return choices
 
 
+def maskprop_ious(memo: FrameMemo, previous) -> np.ndarray:
+    """The (n, J) maskprop IoUs of one state: each of the frame's proposals
+    against each track's ``previous`` mask warped along the frame's flow,
+    the warped mask taken as the destinations whose source is foreground."""
+    warped = [memo.dest[column_major(m)[memo.src]] for m in previous]
+    prop = np.stack([ious(memo.table, fg) for fg in warped], axis=1)
+    prop.setflags(write=False)
+    return prop
+
+
 def merge_walk(manifest: VideoManifest, weights):
     """The greedy merges of ``manifest`` under the rows of the (R, 5) array
     ``weights``, frame by frame from frame 1.
@@ -136,36 +157,33 @@ def merge_walk(manifest: VideoManifest, weights):
     track's proposal (-1: none), ``sub`` is the state's (n, J, 5) sub-score
     tensor and ``combined`` the combine() scores the label map was painted
     with, the same for each of its rows; both are None on a frame without
-    proposals, which reads no flow.
+    proposals, which reads no flow. The weight-free work of a frame with
+    proposals comes from manifest.frame_memo(t), as the module docstring
+    describes.
     """
     w, h = manifest.width, manifest.height
     ids = manifest.object_ids
     distances = embedding_distances(manifest)
     max_dist = np.array(list(compute_video_max_distances(manifest, distances).values()))
     empty = Mask.empty(w, h)
-    first = [g.first_frame_mask for g in manifest.ground_truth]
     # selected[i]: row i's proposal per track at the last frame walked (-1: none)
     selected = np.full((len(weights), len(ids)), -1)
-    before = []
     for t in range(1, manifest.frame_count):
         proposals = manifest.proposals[t]
-        masks = [p.mask for p in proposals]
-        if masks:  # the run table and flow pairs are shared by all states and tracks
-            table = run_table(masks)
-            dest, src = manifest.flow_pairs(t)
+        if proposals:  # the memo is shared by all states and tracks
+            memo = manifest.frame_memo(t)
             objectness = [p.objectness for p in proposals]
-
-        @cache  # the frame's states share it
-        def overlaps(a, b, masks=masks):
-            return intersection_area(masks[a], masks[b]) > 0
-
         for key, group in zip(*group_rows(selected)):
-            if masks:
-                previous = first if t == 1 else [empty if k < 0 else before[k] for k in key]
-                # each track's previous mask warped along the flow, as foreground indices
-                prop = np.stack([ious(table, dest[column_major(m)[src]]) for m in previous], axis=1)
+            if proposals:
+                row = tuple(key.tolist())
+                prop = memo.maskprop.get(row)
+                if prop is None:
+                    previous = memo.previous if t == 1 else [
+                        empty if k < 0 else memo.previous[k] for k in row
+                    ]
+                    prop = memo.maskprop[row] = maskprop_ious(memo, previous)
                 sub = frame_subscores(objectness, distances[t], max_dist, prop)
-                choices = _decide(sub, weights, group, ids, overlaps)
+                choices = _decide(sub, weights, group, ids, memo.overlaps)
             else:
                 sub = None
                 choices = [(np.full(len(ids), -1), [(np.arange(len(group)), None)])]
@@ -173,12 +191,12 @@ def merge_walk(manifest: VideoManifest, weights):
             for k, variants in choices:
                 for rows, comb in variants:
                     entries = [] if comb is None else [
-                        (j, masks[kj], float(comb[kj, jj])) for jj, (j, kj) in enumerate(zip(ids, k))
+                        (j, memo.masks[kj], float(comb[kj, jj]))
+                        for jj, (j, kj) in enumerate(zip(ids, k))
                     ]
                     paints.append((group[rows], k, sub, comb, paint(w, h, entries)))
                     selected[group[rows]] = k
             yield t, paints
-        before = masks
 
 
 def greedy_merge(

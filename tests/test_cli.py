@@ -449,6 +449,33 @@ class TestPipeline:
         assert err["error"] == "ManifestError" and field in err["message"]
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "path, field",
+        [
+            (("ground_truth", 0, "object_id"), "object_id"),
+            (("frame_count",), "frames"),
+            (("frames", 1, 0, "rle", 0), "frames[1][0].rle"),
+        ],
+    )
+    def test_overlong_integer_named_by_digit_count(self, tmp_path, capsys, path, field):
+        data = tmp_path / "data"
+        run("synth", "--out", str(data), "--preset", "single", "--seed", "0")
+        manifest = json.loads((data / "manifest.json").read_text())
+        *parents, key = path
+        node = manifest
+        for p in parents:
+            node = node[p]
+        node[key] = 10**400
+        bad = data / "bad.json"
+        bad.write_text(json.dumps(manifest))
+        capsys.readouterr()
+        assert run("merge", "--manifest", str(bad), "--out", str(tmp_path / "o")) == 1
+        [line] = capsys.readouterr().err.strip().splitlines()
+        assert len(line) < 300
+        err = json.loads(line)
+        assert err["error"] == "ManifestError" and field in err["message"]
+        assert "<401-digit integer>" in err["message"]
+
     def test_manifest_nested_too_deep_is_data_error(self, tmp_path, capsys):
         bad = tmp_path / "deep.json"
         bad.write_text("[" * 200_000 + "]" * 200_000)
@@ -585,6 +612,23 @@ class TestPipeline:
         assert code == 1
         err = self._last_error(capsys)
         assert err["error"] == "TrackmergeError" and "00000.pgm" in err["message"]
+
+    def test_pgm_size_of_too_many_digits_is_data_error(self, tmp_path, capsys):
+        """A width and height of 3,000 digits each: the payload size they
+        give has 6,000, more than str() converts."""
+        data = tmp_path / "data"
+        run("synth", "--out", str(data), "--preset", "single", "--seed", "0")
+        pred = tmp_path / "pred"
+        pred.mkdir()
+        (pred / "00000.pgm").write_bytes(b"P5\n" + b"9" * 3000 + b" " + b"9" * 3000 + b"\n255\n")
+        capsys.readouterr()
+        code = run("eval", "--pred", str(pred), "--gt", str(data / "gt"),
+                   "--out", str(tmp_path / "r.json"))
+        assert code == 1
+        [line] = capsys.readouterr().err.strip().splitlines()
+        assert len(line) < 300
+        err = json.loads(line)
+        assert err["error"] == "TrackmergeError" and "<6000-digit integer>" in err["message"]
 
     def _last_error(self, capsys):
         lines = capsys.readouterr().err.strip().splitlines()

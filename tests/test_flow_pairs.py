@@ -1,22 +1,32 @@
-"""Repeated merges of one manifest share its flow sweeps: a manifest with
-preloaded flows sweeps each (VideoManifest.flow_pairs, flow.source_pairs)
-once, one that reads its flows from disk sweeps them on every merge, and
-both merge as before."""
+"""Repeated merges of one manifest share each frame's weight-free work
+(VideoManifest.frame_memo): a manifest with preloaded flows sweeps each flow
+(flow.source_pairs) once and computes each state's maskprop IoUs
+(merging.maskprop_ious) once, one that reads its flows from disk sweeps them
+on every merge and keeps nothing, and both merge as before."""
 
 import pickle
 from collections import Counter
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from naive_reference import reference_merge
 from trackmerge import manifest as manifest_module
+from trackmerge import merging
 from trackmerge.flow import FlowField, source_pairs
-from trackmerge.manifest import filter_manifest, load_manifest
+from trackmerge.manifest import GroundTruthObject, Proposal, filter_manifest, load_manifest
+from trackmerge.mask import Mask
 from trackmerge.merging import greedy_merge
 from trackmerge.scoring import WeightVector
 from trackmerge.search import SearchConfig, random_search
-from trackmerge.synth import crossing_scenario, generate, save_scenario
+from trackmerge.synth import (
+    ScenarioSpec,
+    ShapeSpec,
+    crossing_scenario,
+    generate,
+    save_scenario,
+)
 
 WEIGHTS = (
     WeightVector.equal(),
@@ -24,6 +34,9 @@ WEIGHTS = (
     WeightVector(0.0, 0.0, 1.0, 0.0, 0.0),
 )
 EMPTY = 2  # the frame left without proposals
+T = 5  # the frame whose inputs TestReplaced replaces
+# a 50-candidate search of the scene: its states, and those on frames with proposals
+SEARCH_STATES, SEARCHED = 9, 8
 
 
 def without_frame(manifest):
@@ -67,8 +80,82 @@ def frames_with_proposals(manifest, times):
 
 
 def search_then_merge(manifest, gt):
-    random_search([(manifest, gt)], SearchConfig(sample_count=50, seed=3, top_k=3))
-    return [greedy_merge(manifest, w) for w in WEIGHTS]
+    """A search of the manifest, then its merges under WEIGHTS and the
+    search's top 3: (weights, merges)."""
+    res = random_search([(manifest, gt)], SearchConfig(sample_count=50, seed=3, top_k=3))
+    weights = (*WEIGHTS, *res.top_k_weights)
+    return weights, [greedy_merge(manifest, w) for w in weights]
+
+
+@pytest.fixture
+def computed(monkeypatch):
+    """One entry per call of merging.maskprop_ious: per state whose
+    maskprop IoUs a walk computes, the frame's memo."""
+    calls = []
+    real = merging.maskprop_ious
+
+    def spy(memo, previous):
+        calls.append(memo)
+        return real(memo, previous)
+
+    monkeypatch.setattr(merging, "maskprop_ious", spy)
+    return calls
+
+
+def shifted(mask):
+    """The mask moved 4 pixels to the right, wrapping round."""
+    return Mask.from_dense(np.roll(mask.dense(), 4, axis=1))
+
+
+# Each change below replaces one input of the manifest in place and returns
+# the frames whose memo entries that input is part of.
+
+
+def reorder_frame(manifest, merged):
+    """proposals[T] becomes a new list of the same proposals, reversed."""
+    manifest.proposals[T] = manifest.proposals[T][::-1]
+    return {T, T + 1}
+
+
+def move_previous_proposal(manifest, merged):
+    """The proposal the first track selects at T - 1 is replaced, in its
+    list, by one whose mask is moved."""
+    frame = manifest.proposals[T - 1]
+    k = merged.selections[merged.object_ids[0]][T - 1]
+    p, m = frame[k], shifted(frame[k].mask)
+    frame[k] = Proposal(p.frame_index, m, m.bbox(), p.objectness, p.embedding)
+    return {T - 1, T}
+
+
+def move_gt_object(manifest, merged):
+    """The first GT object is replaced by one whose mask is moved."""
+    g = manifest.ground_truth[0]
+    m = shifted(g.first_frame_mask)
+    manifest.ground_truth[0] = GroundTruthObject(g.object_id, m, m.bbox(), g.embedding)
+    return {1}
+
+
+def shift_flow(manifest, merged):
+    """The preloaded flow of frame T is replaced by one shifted 2 pixels."""
+    vectors = manifest.flow(T).vectors + 2
+    manifest.preloaded_flows[T - 1] = FlowField(manifest.width, manifest.height, vectors)
+    return {T}
+
+
+def davis_scene_seed_1():
+    """The filtered davis_scene scene of the benchmark at seed 1: the spec
+    that benchmark/workloads.py draws for it, written out."""
+    spec = ScenarioSpec(
+        seed=1401275225, frame_count=20, width=854, height=480,
+        objects=(
+            ShapeSpec("ellipse", (150, 110), (293, 336), (-5, -5)),
+            ShapeSpec("rect", (110, 150), (578, 60), (-1, 2)),
+            ShapeSpec("ellipse", (120, 120), (90, 356), (-3, 0)),
+        ),
+        planted=(ShapeSpec("rect", (150, 110), (628, 329), (0, 0), objectness=0.8),),
+        distractor_count=23, embedding_noise=0.05, spurious_rate=0.5, video_id="davis",
+    )
+    return filter_manifest(generate(spec).manifest)
 
 
 class TestSweepsShared:
@@ -82,8 +169,8 @@ class TestSweepsShared:
         result = generate(crossing_scenario(0))
         save_scenario(result, tmp_path)
         manifest = without_frame(load_manifest(tmp_path / "manifest.json"))
-        search_then_merge(manifest, result.gt_all_frames)
-        assert sweeps == frames_with_proposals(scene[0], len(WEIGHTS) + 1)
+        _, merged = search_then_merge(manifest, result.gt_all_frames)
+        assert sweeps == frames_with_proposals(scene[0], len(merged) + 1)
         assert manifest._pairs == {}
 
     def test_replaced_flow_swept_again(self, scene, sweeps):
@@ -105,16 +192,84 @@ class TestSweepsShared:
             assert first == reference_merge(manifest, w)
             assert first.report == reference_merge(manifest, w).report
 
+    def test_search_then_merge_equals_fresh_copies(self, scene):
+        manifest, gt = scene
+        for w, ts in zip(*search_then_merge(manifest, gt)):
+            assert ts == greedy_merge(replace(manifest), w)
+
+
+class TestReplaced:
+    """After merges have filled the memo, each input replaced in place gives
+    the merges of a fresh copy and of the reference, report included. The
+    scene keeps all its frames, so every track's maskprop is 1 before."""
+
+    @pytest.mark.parametrize(
+        "change", [reorder_frame, move_previous_proposal, move_gt_object, shift_flow]
+    )
+    def test_merges_after_replacing(self, change):
+        result = generate(crossing_scenario(0))
+        manifest = filter_manifest(result.manifest)
+        # the search also fills each memo's overlap answers
+        random_search([(manifest, result.gt_all_frames)], SearchConfig(sample_count=50, seed=3))
+        before = [greedy_merge(manifest, w) for w in WEIGHTS]
+        held = dict(manifest._pairs)
+        assert all(memo.overlap for memo in held.values())
+        changed = change(manifest, before[0])
+        for t, old in held.items():  # only the entries built from the input are new
+            memo = manifest.frame_memo(t)
+            assert (memo is not old) == (t in changed)
+            if t in changed:
+                assert memo.maskprop == {} and memo.overlap == {}
+                # the flow pairs stay while the flow is the same
+                assert (memo.dest is old.dest) == (memo.flow is old.flow)
+        after = [greedy_merge(manifest, w) for w in WEIGHTS]
+        for w, ts in zip(WEIGHTS, after):
+            want = reference_merge(manifest, w)
+            assert ts == greedy_merge(replace(manifest), w)
+            assert ts == want and ts.report == want.report
+        assert after[0] != before[0]
+
+
+class TestWorkCounts:
+    """Exact counts of the per-state maskprop computation."""
+
+    def test_davis_scene_merges_share_states(self, computed):
+        """The benchmark's three merges of one manifest walk the same 19
+        states: each computed once, not 57 times."""
+        manifest = davis_scene_seed_1()
+        weights = (
+            WeightVector.equal(),
+            WeightVector(0.1, 0.2, 0.5, 0.1, 0.1),
+            WeightVector(0.3, 0.3, 0.2, 0.1, 0.1),
+        )
+        merged = [greedy_merge(manifest, w) for w in weights]
+        assert len(computed) == 19
+        assert merged[1] == greedy_merge(replace(manifest), weights[1])
+        assert len(computed) == 38  # a fresh copy computes its own
+
+    def test_top_k_merges_after_search_compute_nothing(self, scene, computed):
+        manifest, gt = scene
+        res = random_search([(manifest, gt)], SearchConfig(sample_count=50, seed=3))
+        searched = len(computed)
+        assert (searched, res.states) == (SEARCHED, SEARCH_STATES)
+        for w in res.top_k_weights:
+            greedy_merge(manifest, w)
+        assert len(computed) == searched
+
 
 class TestMemo:
     def test_held_pairs_read_only(self, scene):
         manifest, _ = scene
-        dest, src = manifest.flow_pairs(1)
-        assert not dest.flags.writeable and not src.flags.writeable
-        with pytest.raises(ValueError):
-            dest[0] = 0
-        again = manifest.flow_pairs(1)
-        assert again[0] is dest and again[1] is src
+        greedy_merge(manifest)
+        memo = manifest.frame_memo(1)
+        held = [memo.dest, memo.src, *memo.maskprop.values()]
+        assert len(held) == 3
+        for a in held:
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[0] = 0
+        again = manifest.frame_memo(1)
+        assert again is memo and again.dest is memo.dest and again.src is memo.src
 
     def test_memo_not_in_eq_repr_or_pickle(self, scene):
         manifest, _ = scene

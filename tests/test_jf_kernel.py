@@ -115,6 +115,7 @@ def edge_grids(h=7, w=9):
         (slice(2, 5), slice(0, 2)),  # left
         (slice(2, 5), slice(w - 2, w)),  # right
         (slice(0, h), slice(3, 4)),  # top to bottom, one column
+        (slice(3, 4), slice(0, w)),  # left to right, one row
         (slice(0, 1), slice(0, 1)),  # corner pixel
         (slice(3, 4), slice(4, 5)),  # interior pixel
         (slice(0, 0), slice(0, 0)),  # empty
@@ -284,10 +285,20 @@ class TestBoundaryPatch:
         assert np.array_equal(frame, ref_boundary(g))
 
     def test_edge_masks(self):
-        for g in edge_grids():
+        # the edge grids of a 7x9 image, and of single-row and single-column images
+        for g in [*edge_grids(), *edge_grids(1, 9), *edge_grids(7, 1)]:
             self.check(Patch(0, 0, g), g)  # the whole frame
-            if g.any():
-                self.check(patch(g), g)
+            ys, xs = g.nonzero()
+            p = patch(g)
+            if not ys.size:
+                assert p is None
+                continue
+            # patch crops exactly to the foreground's box, as a copy
+            y0, y1, x0, x1 = ys.min(), ys.max() + 1, xs.min(), xs.max() + 1
+            assert (p.y0, p.x0) == (y0, x0)
+            assert np.array_equal(p.grid, g[y0:y1, x0:x1])
+            assert not np.shares_memory(p.grid, g)
+            self.check(p, g)
 
     @KERNEL
     @given(single, st.integers(0, 3), st.integers(0, 3))

@@ -38,6 +38,16 @@ class TestPgm:
         with pytest.raises(TrackmergeError):
             LabelMap(0, 0, np.zeros((0, 0), np.uint8))
 
+    @pytest.mark.parametrize("dtype", [np.int16, np.int64])
+    @pytest.mark.parametrize("value", [-1, 256])
+    def test_labels_outside_a_byte_rejected(self, dtype, value):
+        labels = np.zeros((2, 3), dtype)
+        labels[1, 2] = value
+        with pytest.raises(TrackmergeError, match=r"\[0, 255\]"):
+            LabelMap(3, 2, labels)
+        labels[1, 2] = 255
+        assert LabelMap(3, 2, labels).labels.tolist() == [[0, 0, 0], [0, 0, 255]]
+
 
 def bar(x0, x1, width=6, height=2):
     grid = np.zeros((height, width), bool)

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trackmerge import manifest as manifest_module
-from trackmerge.errors import ManifestError, MaskError
+from trackmerge.errors import ManifestError, MaskError, shown
 from trackmerge.flow import FlowField
 from trackmerge.manifest import (
     Proposal,
@@ -257,6 +257,22 @@ class TestLoad:
         assert (tmp_path / "manifest.json").read_bytes() == (
             tmp_path / "again.json"
         ).read_bytes()
+
+
+    @pytest.mark.parametrize(
+        "value, text",
+        [
+            (10**20 - 1, "99999999999999999999"),
+            (10**20, "<21-digit integer>"),
+            (10**400 - 1, "<400-digit integer>"),
+            (-(10**400), "-<401-digit integer>"),
+            (10**5000, "<5001-digit integer>"),  # more digits than str() converts
+            ("x" * 100, "'" + "x" * 56 + "..."),
+        ],
+        ids=["20_digits", "21_digits", "400_digits", "negative", "5001_digits", "string"],
+    )
+    def test_error_messages_show_long_values_short(self, value, text):
+        assert shown(value) == text
 
 
 class TestPreloadedFlows:

@@ -5,9 +5,9 @@ and proposal filtering: score threshold plus mask-IoU non-maximum suppression.
 from __future__ import annotations
 
 import json
-import operator
 import os
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
@@ -69,25 +69,18 @@ class GroundTruthObject:
         object.__setattr__(self, "embedding", emb)
 
 
-def _same(a: tuple, b: tuple) -> bool:
-    """Whether two tuples hold the very same objects, in order."""
-    return len(a) == len(b) and all(map(operator.is_, a, b))
-
-
 @dataclass(eq=False)
 class FrameMemo:
     """What merging.merge_walk computes at one frame t that no weight
-    changes, built from frame t's ``flow``, its proposal ``masks`` and the
-    ``previous`` masks (frame t-1's proposal masks, or the GT first-frame
-    masks at t = 1). ``dest`` and ``src`` are flow.source_pairs of the flow
-    (read-only) and ``table`` the run table of ``masks``. The two dicts fill
-    as merges walk the frame: ``maskprop`` maps each state's selection row
-    at t-1 (one proposal index per track, -1: none) to its read-only (n, J)
-    maskprop IoUs, and ``overlap`` each pair of proposals asked about to
-    whether they share a pixel.
-    """
+    changes: frame t's proposal ``masks``, the ``previous`` masks (frame
+    t-1's, or the GT first-frame masks at t = 1), the read-only
+    flow.source_pairs ``dest`` and ``src`` of the frame's flow, and the run
+    ``table`` of ``masks``. The two dicts fill as merges walk the frame:
+    ``maskprop`` maps each state's selection row at t-1 (one proposal index
+    per track, -1: none) to its read-only (n, J) maskprop IoUs, and
+    ``overlap`` each pair of proposals asked about to whether they share a
+    pixel."""
 
-    flow: FlowField
     masks: tuple
     previous: tuple
     dest: np.ndarray
@@ -104,12 +97,15 @@ class FrameMemo:
         return hit
 
 
-@dataclass
+@dataclass(frozen=True)
 class VideoManifest:
     """All per-video inputs: proposals per frame, GT objects, flow references.
 
     ``flow_paths[t-1]`` names the backward t -> t-1 field for frame t.
     Flow fields may be preloaded (synthetic data) or loaded lazily from disk.
+    A manifest is immutable and checked once, when made; its sequences are
+    stored as tuples. Derive another with ``dataclasses.replace``, which
+    checks it again.
     """
 
     video_id: str
@@ -117,15 +113,19 @@ class VideoManifest:
     height: int
     frame_count: int
     embedding_dim: int
-    proposals: list  # list (len frame_count) of list[Proposal]
-    ground_truth: list  # list[GroundTruthObject]
-    flow_paths: list  # list (len frame_count - 1) of str
-    preloaded_flows: list | None = field(default=None, repr=False)
+    proposals: tuple  # tuple (len frame_count) of tuple[Proposal]
+    ground_truth: tuple  # tuple[GroundTruthObject]
+    flow_paths: tuple  # tuple (len frame_count - 1) of str
+    preloaded_flows: tuple | None = field(default=None, repr=False)
     base_dir: str = "."
     # frame_memo's memo for preloaded flows: t -> FrameMemo
-    _pairs: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    _memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
+        store = partial(object.__setattr__, self)
+        store("proposals", tuple(map(tuple, self.proposals)))
+        store("ground_truth", tuple(self.ground_truth))
+        store("flow_paths", tuple(self.flow_paths))
         # video_id names the video's result directory
         v = self.video_id
         if not isinstance(v, str) or v in ("", ".", "..") or any(c in v for c in "/\\\0"):
@@ -143,25 +143,26 @@ class VideoManifest:
                 f"flows has {len(self.flow_paths)} entries, "
                 f"expected {shown(self.frame_count - 1)}"
             )
-        flows = self.preloaded_flows
-        if flows is not None:
+        if self.preloaded_flows is not None:
+            flows = tuple(self.preloaded_flows)
+            store("preloaded_flows", flows)
             if len(flows) != self.frame_count - 1:
                 raise ManifestError(
                     f"preloaded_flows has {len(flows)} entries, "
                     f"expected {shown(self.frame_count - 1)}"
                 )
-            for t in range(1, self.frame_count):
-                self.flow(t)  # checks the flow's type and size
+            for t, f in enumerate(flows, 1):
+                self._check_flow(f, f"preloaded flow for frame {t}")
         if not self.ground_truth:
             raise ManifestError("ground_truth must contain at least one object")
         ids = [g.object_id for g in self.ground_truth]
         if len(set(ids)) != len(ids):
             raise ManifestError(f"duplicate object_ids in ground_truth: {ids}")
-        for g in self.ground_truth:
-            self._check_mask(g.first_frame_mask, f"ground_truth[{g.object_id}]")
+        for k, g in enumerate(self.ground_truth):
+            self._check_mask(g.first_frame_mask, f"ground_truth[{k}]")
             if len(g.embedding) != self.embedding_dim:
                 raise ManifestError(
-                    f"ground_truth[{g.object_id}].embedding has length "
+                    f"ground_truth[{k}].embedding has length "
                     f"{len(g.embedding)}, expected {shown(self.embedding_dim)}"
                 )
         for t, frame in enumerate(self.proposals):
@@ -192,50 +193,38 @@ class VideoManifest:
         """Backward flow for frame t (1 <= t < frame_count)."""
         if not (1 <= t < self.frame_count):
             raise ManifestError(f"no flow for frame {t}")
-        if self.preloaded_flows is not None:  # checked on every read: it may be replaced
-            f, what = self.preloaded_flows[t - 1], f"preloaded flow for frame {t}"
-        else:
-            f = load_flo(os.path.join(self.base_dir, self.flow_paths[t - 1]))
-            what = f"flow {self.flow_paths[t - 1]}"
-        self._check_flow(f, what)
+        if self.preloaded_flows is not None:
+            return self.preloaded_flows[t - 1]
+        f = load_flo(os.path.join(self.base_dir, self.flow_paths[t - 1]))
+        self._check_flow(f, f"flow {self.flow_paths[t - 1]}")
         return f
 
     def frame_memo(self, t: int) -> FrameMemo:
         """The FrameMemo of frame t, which must have proposals.
 
         With preloaded flows it is kept, so every merge of this manifest
-        object shares it, while its flow, masks and previous masks are the
-        very objects the manifest holds (compared with ``is``). When one is
-        replaced it is rebuilt, reusing the swept pairs while the flow is
-        the same, so a preloaded flow is swept once. With flows read from
-        disk nothing is kept: each call reads and sweeps the flow again."""
-        f = self.flow(t)
-        masks = tuple(p.mask for p in self.proposals[t])
-        if t == 1:
-            previous = tuple(g.first_frame_mask for g in self.ground_truth)
-        else:
-            previous = tuple(p.mask for p in self.proposals[t - 1])
-        held = self._pairs.get(t)
-        if held is not None and held.flow is f:
-            if _same(held.masks, masks) and _same(held.previous, previous):
-                return held
-            dest, src = held.dest, held.src
-        else:
-            dest, src = source_pairs(f)
+        shares it. With flows read from disk nothing is kept: each call
+        reads and sweeps the flow again."""
+        memo = self._memo.get(t)
+        if memo is None:
+            dest, src = source_pairs(self.flow(t))
             dest.setflags(write=False)
             src.setflags(write=False)
-        memo = FrameMemo(f, masks, previous, dest, src, run_table(masks))
-        if self.preloaded_flows is not None:
-            self._pairs[t] = memo
+            masks = tuple(p.mask for p in self.proposals[t])
+            previous = (tuple(g.first_frame_mask for g in self.ground_truth) if t == 1
+                        else tuple(p.mask for p in self.proposals[t - 1]))
+            memo = FrameMemo(masks, previous, dest, src, run_table(masks))
+            if self.preloaded_flows is not None:
+                self._memo[t] = memo
         return memo
 
     def __getstate__(self):  # pickles and copies leave the memo behind
         state = dict(self.__dict__)
-        del state["_pairs"]
+        del state["_memo"]
         return state
 
     def __setstate__(self, state):
-        self.__dict__.update(state, _pairs={})
+        self.__dict__.update(state, _memo={})
 
     @property
     def object_ids(self):
@@ -296,6 +285,14 @@ def _mask_from_rle(rle, width, height, where) -> Mask:
         raise ManifestError(f"{where}.rle: {e}") from e
 
 
+def _made(cls, where, **fields):
+    """cls(**fields), with ``where`` before the message of its ManifestError."""
+    try:
+        return cls(**fields)
+    except ManifestError as e:
+        raise ManifestError(f"{where}: {e}") from e
+
+
 def _proposal_from_json(obj, t, i, mask, tight) -> Proposal:
     """Proposal i of frame t, with its parsed ``mask`` and the mask's tight
     box ``tight`` (None for an empty mask)."""
@@ -315,7 +312,8 @@ def _proposal_from_json(obj, t, i, mask, tight) -> Proposal:
         objectness = float(objectness)
     except OverflowError as e:
         raise ManifestError(f"{where}.objectness: {e}") from e
-    return Proposal(
+    return _made(
+        Proposal, where,
         frame_index=t,
         mask=mask,
         bbox=tight,
@@ -396,7 +394,8 @@ def load_manifest(path) -> VideoManifest:
         if mask.is_empty:
             raise ManifestError(f"{where}.rle: empty first-frame mask has no bounding box")
         gts.append(
-            GroundTruthObject(
+            _made(
+                GroundTruthObject, where,
                 object_id=_require_int(obj, "object_id", where),
                 first_frame_mask=mask,
                 first_frame_bbox=mask.bbox(),

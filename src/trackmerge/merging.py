@@ -18,11 +18,11 @@ table, each state's maskprop IoUs, keyed by its selection row at t-1, and
 whether two proposals overlap. A manifest with preloaded flows keeps it, so
 repeated merges of one in-memory manifest (the top-k merges, or merges after
 a search of it) compute these once per state, and each later walk computes
-only the states no earlier walk reached. A frame's entry is recomputed when
-its flow, its proposal masks or frame t-1's (the GT first-frame masks at
-t = 1) are replaced by other objects. The sub-scores, combine(), the argmax
-and paint() run on every walk, so every output is as without the memo. A
-manifest that reads its flows from disk keeps nothing.
+only the states no earlier walk reached. A manifest cannot change, so an
+entry never goes stale; a manifest derived with dataclasses.replace starts
+with an empty memo. The sub-scores, combine(), the argmax and paint() run on
+every walk, so every output is as without the memo. A manifest that reads
+its flows from disk keeps nothing.
 """
 
 from __future__ import annotations

@@ -302,7 +302,8 @@ class TestPipeline:
         code = run("merge", "--manifest", str(bad), "--out", str(tmp_path / "o"))
         assert code == 1
         err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
-        assert err["error"] == "ManifestError" and "object_id" in err["message"]
+        assert err["error"] == "ManifestError"
+        assert err["message"].startswith("ground_truth[0]: object_id must lie in 1..255")
 
     def test_bad_jobs_environment_is_usage_error(self, tmp_path, capsys, monkeypatch):
         data = tmp_path / "data"

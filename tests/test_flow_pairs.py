@@ -6,7 +6,7 @@ on every merge and keeps nothing, and both merge as before."""
 
 import pickle
 from collections import Counter
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -42,8 +42,7 @@ SEARCH_STATES, SEARCHED = 9, 8
 def without_frame(manifest):
     """The filtered manifest with no proposals at frame EMPTY."""
     manifest = filter_manifest(manifest)
-    manifest.proposals[EMPTY] = []
-    return manifest
+    return replace(manifest, proposals=put(manifest.proposals, (EMPTY,), ()))
 
 
 @pytest.fixture
@@ -107,39 +106,43 @@ def shifted(mask):
     return Mask.from_dense(np.roll(mask.dense(), 4, axis=1))
 
 
-# Each change below replaces one input of the manifest in place and returns
-# the frames whose memo entries that input is part of.
+# Each change below names one input of the manifest as (field, path, value):
+# the item at ``path`` in the field's nested tuples becomes ``value``.
 
 
 def reorder_frame(manifest, merged):
-    """proposals[T] becomes a new list of the same proposals, reversed."""
-    manifest.proposals[T] = manifest.proposals[T][::-1]
-    return {T, T + 1}
+    """proposals[T] becomes the same proposals, reversed."""
+    return "proposals", (T,), manifest.proposals[T][::-1]
 
 
 def move_previous_proposal(manifest, merged):
-    """The proposal the first track selects at T - 1 is replaced, in its
-    list, by one whose mask is moved."""
-    frame = manifest.proposals[T - 1]
+    """The proposal the first track selects at T - 1 becomes one whose mask
+    is moved."""
     k = merged.selections[merged.object_ids[0]][T - 1]
-    p, m = frame[k], shifted(frame[k].mask)
-    frame[k] = Proposal(p.frame_index, m, m.bbox(), p.objectness, p.embedding)
-    return {T - 1, T}
+    p = manifest.proposals[T - 1][k]
+    m = shifted(p.mask)
+    return "proposals", (T - 1, k), Proposal(p.frame_index, m, m.bbox(), p.objectness, p.embedding)
 
 
 def move_gt_object(manifest, merged):
-    """The first GT object is replaced by one whose mask is moved."""
+    """The first GT object becomes one whose mask is moved."""
     g = manifest.ground_truth[0]
     m = shifted(g.first_frame_mask)
-    manifest.ground_truth[0] = GroundTruthObject(g.object_id, m, m.bbox(), g.embedding)
-    return {1}
+    return "ground_truth", (0,), GroundTruthObject(g.object_id, m, m.bbox(), g.embedding)
 
 
 def shift_flow(manifest, merged):
-    """The preloaded flow of frame T is replaced by one shifted 2 pixels."""
+    """The preloaded flow of frame T becomes one shifted 2 pixels."""
     vectors = manifest.flow(T).vectors + 2
-    manifest.preloaded_flows[T - 1] = FlowField(manifest.width, manifest.height, vectors)
-    return {T}
+    return "preloaded_flows", (T - 1,), FlowField(manifest.width, manifest.height, vectors)
+
+
+def put(seq, path, value):
+    """``seq`` as nested lists, with the item at ``path`` set to ``value``."""
+    head, *rest = path
+    out = list(seq)
+    out[head] = put(seq[head], rest, value) if rest else value
+    return out
 
 
 def davis_scene_seed_1():
@@ -163,7 +166,7 @@ class TestSweepsShared:
         manifest, gt = scene
         search_then_merge(manifest, gt)
         assert sweeps == frames_with_proposals(manifest, 1)
-        assert manifest.proposals[EMPTY] == []
+        assert manifest.proposals[EMPTY] == ()
 
     def test_disk_flows_swept_on_every_merge(self, scene, sweeps, tmp_path):
         result = generate(crossing_scenario(0))
@@ -171,16 +174,16 @@ class TestSweepsShared:
         manifest = without_frame(load_manifest(tmp_path / "manifest.json"))
         _, merged = search_then_merge(manifest, result.gt_all_frames)
         assert sweeps == frames_with_proposals(scene[0], len(merged) + 1)
-        assert manifest._pairs == {}
+        assert manifest._memo == {}
 
     def test_replaced_flow_swept_again(self, scene, sweeps):
         manifest, _ = scene
         before = greedy_merge(manifest)
         shifted = FlowField(manifest.width, manifest.height, manifest.flow(1).vectors + 2)
-        manifest.preloaded_flows[0] = shifted
-        after = greedy_merge(manifest)
+        moved = replace(manifest, preloaded_flows=put(manifest.preloaded_flows, (0,), shifted))
+        after = greedy_merge(moved)
         assert sweeps[shifted.planes.tobytes()] == 1
-        assert after == greedy_merge(replace(manifest))
+        assert after == greedy_merge(moved) == reference_merge(moved)
         assert after != before
 
     def test_merges_equal_reference(self, scene):
@@ -198,36 +201,47 @@ class TestSweepsShared:
             assert ts == greedy_merge(replace(manifest), w)
 
 
-class TestReplaced:
-    """After merges have filled the memo, each input replaced in place gives
-    the merges of a fresh copy and of the reference, report included. The
-    scene keeps all its frames, so every track's maskprop is 1 before."""
+CHANGES = [reorder_frame, move_previous_proposal, move_gt_object, shift_flow]
 
-    @pytest.mark.parametrize(
-        "change", [reorder_frame, move_previous_proposal, move_gt_object, shift_flow]
-    )
+
+class TestReplaced:
+    """A manifest's inputs cannot be replaced in place. After merges have
+    filled the memo, a manifest with one input replaced through
+    dataclasses.replace starts with an empty memo and merges as the
+    reference does, report included. The scene keeps all its frames, so
+    every track's maskprop is 1 before."""
+
+    @pytest.mark.parametrize("change", CHANGES)
+    def test_edit_in_place_raises(self, change):
+        manifest = filter_manifest(generate(crossing_scenario(0)).manifest)
+        before = greedy_merge(manifest)
+        name, (*outer, last), value = change(manifest, before)
+        container = getattr(manifest, name)
+        for i in outer:
+            container = container[i]
+        with pytest.raises(TypeError):
+            container[last] = value
+        with pytest.raises(FrozenInstanceError):
+            setattr(manifest, name, put(getattr(manifest, name), (*outer, last), value))
+        assert greedy_merge(manifest) == before
+
+    @pytest.mark.parametrize("change", CHANGES)
     def test_merges_after_replacing(self, change):
         result = generate(crossing_scenario(0))
         manifest = filter_manifest(result.manifest)
         # the search also fills each memo's overlap answers
         random_search([(manifest, result.gt_all_frames)], SearchConfig(sample_count=50, seed=3))
         before = [greedy_merge(manifest, w) for w in WEIGHTS]
-        held = dict(manifest._pairs)
-        assert all(memo.overlap for memo in held.values())
-        changed = change(manifest, before[0])
-        for t, old in held.items():  # only the entries built from the input are new
-            memo = manifest.frame_memo(t)
-            assert (memo is not old) == (t in changed)
-            if t in changed:
-                assert memo.maskprop == {} and memo.overlap == {}
-                # the flow pairs stay while the flow is the same
-                assert (memo.dest is old.dest) == (memo.flow is old.flow)
-        after = [greedy_merge(manifest, w) for w in WEIGHTS]
+        assert manifest._memo and all(memo.overlap for memo in manifest._memo.values())
+        name, path, value = change(manifest, before[0])
+        changed = replace(manifest, **{name: put(getattr(manifest, name), path, value)})
+        assert changed._memo == {}
+        after = [greedy_merge(changed, w) for w in WEIGHTS]
         for w, ts in zip(WEIGHTS, after):
-            want = reference_merge(manifest, w)
-            assert ts == greedy_merge(replace(manifest), w)
+            want = reference_merge(changed, w)
             assert ts == want and ts.report == want.report
         assert after[0] != before[0]
+        assert [greedy_merge(manifest, w) for w in WEIGHTS] == before
 
 
 class TestWorkCounts:
@@ -276,11 +290,11 @@ class TestMemo:
         fresh = replace(manifest)
         size = len(pickle.dumps(manifest))
         greedy_merge(manifest)
-        assert manifest._pairs and fresh._pairs == {}
+        assert manifest._memo and fresh._memo == {}
         assert manifest == fresh
         assert repr(manifest) == repr(fresh)
-        assert "_pairs" not in repr(manifest)
+        assert "_memo" not in repr(manifest)
         assert len(pickle.dumps(manifest)) == size
         copy = pickle.loads(pickle.dumps(manifest))
-        assert copy._pairs == {}
+        assert copy._memo == {}
         assert greedy_merge(copy) == greedy_merge(manifest)

@@ -16,7 +16,6 @@ from trackmerge.manifest import (
     save_manifest,
 )
 from trackmerge.mask import BBox, Mask, iou
-from trackmerge.merging import greedy_merge
 from trackmerge.synth import (
     ScenarioSpec,
     ShapeSpec,
@@ -56,15 +55,16 @@ class TestLoad:
         path.write_text(json.dumps(MINIMAL))
         m = load_manifest(path)
         assert m.frame_count == 1
-        assert m.proposals == [[]]
+        assert m.proposals == ((),)
         assert m.ground_truth[0].first_frame_mask.area == 3
 
     def test_embedding_length_mismatch(self, tmp_path):
         bad = json.loads(json.dumps(MINIMAL))
-        bad["ground_truth"][0]["embedding"] = [1.0, 0.0, 0.0]
+        bad["ground_truth"][0].update(object_id=7, embedding=[1.0, 0.0, 0.0])
         path = tmp_path / "m.json"
         path.write_text(json.dumps(bad))
-        with pytest.raises(ManifestError, match="embedding"):
+        # the entry's index, not its object_id
+        with pytest.raises(ManifestError, match=r"^ground_truth\[0\]\.embedding has length 3"):
             load_manifest(path)
 
     def test_bad_rle(self, tmp_path):
@@ -166,6 +166,22 @@ class TestLoad:
 
     def test_frames_not_a_list_of_lists(self, tmp_path):
         self.check_rejected(tmp_path, lambda m: m.update(frames=5), "frames")
+
+    @pytest.mark.parametrize(
+        "owner, key, value, message",
+        [
+            ("frames", "objectness", 1.5, r"frames\[0\]\[0\]: objectness 1.5 outside \[0, 1\]"),
+            ("frames", "embedding", [0, float("nan")], r"frames\[0\]\[0\]: embedding must be"),
+            ("ground_truth", "embedding", [float("inf"), 0], r"ground_truth\[0\]: embedding must be"),
+            ("ground_truth", "object_id", 300, r"ground_truth\[0\]: object_id must lie in 1..255"),
+        ],
+        ids=["objectness_1.5", "proposal_embedding_nan", "gt_embedding_inf", "object_id_300"],
+    )
+    def test_object_checks_name_their_entry(self, tmp_path, owner, key, value, message):
+        def corrupt(m):
+            (m["frames"][0][0] if owner == "frames" else m["ground_truth"][0])[key] = value
+
+        self.check_rejected(tmp_path, corrupt, "^" + message)
 
     def test_fractional_object_id(self, tmp_path):
         self.check_rejected(
@@ -290,22 +306,47 @@ class TestPreloadedFlows:
 
     def test_flows_of_another_height_rejected(self):
         with pytest.raises(ManifestError, match=r"preloaded flow for frame 9 is 40x25"):
-            self.rebuilt(lambda m: m.preloaded_flows[:-1] + [FlowField.zero(40, 25)])
+            self.rebuilt(lambda m: [*m.preloaded_flows[:-1], FlowField.zero(40, 25)])
 
     @pytest.mark.parametrize("count", [0, 1, 8, 10])
     def test_wrong_number_of_flows_rejected(self, count):
         with pytest.raises(ManifestError, match=rf"has {count} entries, expected 9"):
             self.rebuilt(lambda m: [FlowField.zero(m.width, m.height)] * count)
 
-    def test_replaced_flow_of_another_size_rejected_when_read(self):
-        m = self.rebuilt(lambda m: list(m.preloaded_flows))
-        m.preloaded_flows[0] = FlowField.zero(43, 26)
-        with pytest.raises(ManifestError, match=r"preloaded flow for frame 1 is 43x26"):
-            greedy_merge(m)
-
     def test_flow_not_a_flow_field_rejected(self):
         with pytest.raises(ManifestError, match=r"preloaded flow for frame 3 is not a FlowField"):
-            self.rebuilt(lambda m: m.preloaded_flows[:2] + [None] + m.preloaded_flows[3:])
+            self.rebuilt(lambda m: [*m.preloaded_flows[:2], None, *m.preloaded_flows[3:]])
+
+
+class TestValue:
+    """A manifest is checked once, when it is made, and cannot change after;
+    replace() makes another one and checks it again."""
+
+    def test_sequences_stored_as_tuples(self):
+        m = generate(crossing_scenario(0)).manifest
+        for seq in (m.proposals, *m.proposals, m.ground_truth, m.flow_paths, m.preloaded_flows):
+            assert type(seq) is tuple
+        assert replace(m, proposals=[list(f) for f in m.proposals]) == m
+
+    @pytest.mark.parametrize("change", ["oversized_mask", "short_embedding"])
+    def test_replaced_proposal_checked(self, change):
+        """Frame 2's first proposal with an 80x60 mask, or a 3-long embedding,
+        in the 40x26 crossing manifest of 16-long embeddings."""
+        m = generate(crossing_scenario(0)).manifest
+        p = m.proposals[2][0]
+        if change == "oversized_mask":
+            mask = Mask.from_dense(block(80, 60, 2, 3, 9, 8))
+            bad = replace(p, mask=mask, bbox=mask.bbox())
+            message = r"^frames\[2\]\[0\]: mask is 80x60, video is 40x26"
+        else:
+            bad = replace(p, embedding=np.zeros(3))
+            message = r"^frames\[2\]\[0\]\.embedding has length 3, expected 16"
+        frames = list(m.proposals)
+        frames[2] = (bad, *frames[2][1:])
+        with pytest.raises(ManifestError, match=message):
+            replace(m, proposals=frames)
+        with pytest.raises(TypeError):
+            m.proposals[2][0] = bad
 
 
 class TestFilter:

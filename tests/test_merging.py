@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -28,6 +30,12 @@ from trackmerge.synth import (
 )
 
 
+def with_frame(manifest, t, proposals):
+    """The manifest with frame t's proposals replaced."""
+    frames = manifest.proposals
+    return replace(manifest, proposals=(*frames[:t], proposals, *frames[t + 1:]))
+
+
 def selected_mask(manifest, ts, j, t):
     """Track j's full mask at frame t, before overlap resolution: the GT at
     frame 0, the selected proposal's mask after, empty where none was."""
@@ -48,8 +56,7 @@ class TestGreedy:
 
     def test_zero_proposal_frame(self):
         result = generate(single_object_scenario(seed=2, frame_count=4))
-        manifest = result.manifest
-        manifest.proposals[2] = []
+        manifest = with_frame(result.manifest, 2, ())
         ts = greedy_merge(manifest)
         assert ts.selections[1][2] is None
         assert selected_mask(manifest, ts, 1, 2).is_empty
@@ -129,8 +136,8 @@ class TestGreedy:
             embedding_dim=dim,
         )
         result = generate(spec)
-        manifest = result.manifest
-        manifest.proposals[1] = [manifest.proposals[1][0]]  # only object 1's mask
+        # only object 1's mask at frame 1
+        manifest = with_frame(result.manifest, 1, result.manifest.proposals[1][:1])
         ts = greedy_merge(manifest)
         assert ts.selections[1][1] == 0 and ts.selections[2][1] == 0
         lm = ts.label_maps[1]
@@ -145,7 +152,7 @@ class TestReport:
     @pytest.mark.parametrize("seed", [0, 3, 6])
     def test_greedy_report_equals_scalar_helpers(self, seed):
         manifest = filter_manifest(generate(random_scenario(seed)).manifest)
-        manifest.proposals[2] = []
+        manifest = with_frame(manifest, 2, ())
         rng = np.random.default_rng(seed)
         runs = [
             (WeightVector.equal(), ALL_ACTIVE),
@@ -175,8 +182,7 @@ class TestReport:
 
     def test_oracle_report_and_empty_frame(self):
         result = generate(random_scenario(4))
-        manifest = result.manifest
-        manifest.proposals[1] = []
+        manifest = with_frame(result.manifest, 1, ())
         ts = oracle_merge(manifest, result.gt_all_frames)
         for t in range(1, manifest.frame_count):
             for j in manifest.object_ids:

@@ -266,8 +266,7 @@ def per_pair_distances(manifest):
 def empty_frame_manifest():
     """crossing_scenario(0), filtered, with no proposals at frame 2."""
     manifest = filter_manifest(generate(crossing_scenario(0)).manifest)
-    manifest.proposals[2] = []
-    return manifest
+    return replace(manifest, proposals=manifest.proposals[:2] + ((),) + manifest.proposals[3:])
 
 
 class TestEmbeddingDistances:

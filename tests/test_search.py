@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -137,7 +138,7 @@ def reid_decisive_instance():
     )
     result = generate(spec)
     far = np.full((16, 24, 2), (80.0, 0.0), dtype=np.float32)
-    result.manifest.preloaded_flows = [
+    manifest = replace(result.manifest, preloaded_flows=[
         FlowField(24, 16, far) for _ in range(spec.frame_count - 1)
-    ]
-    return filter_manifest(result.manifest), result.gt_all_frames
+    ])
+    return filter_manifest(manifest), result.gt_all_frames

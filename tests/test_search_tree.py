@@ -4,6 +4,8 @@ The merge is tests/naive_reference.reference_merge, one candidate at a time,
 not the walk that greedy_merge and the search share; greedy_merge is held to
 it here too."""
 
+from dataclasses import replace
+
 import naive_reference
 import numpy as np
 import pytest
@@ -75,8 +77,8 @@ def empty_frame_instance():
     """crossing_scenario(0) with no proposals at frame 2: every track selects
     nothing there and takes maskprop from an empty mask at frame 3."""
     manifest, gt = video(crossing_scenario(0))
-    manifest.proposals[2] = []
-    return manifest, gt
+    proposals = manifest.proposals[:2] + ((),) + manifest.proposals[3:]
+    return replace(manifest, proposals=proposals), gt
 
 
 def davis_sized():

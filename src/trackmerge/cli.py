@@ -22,6 +22,7 @@ from .ensemble import majority_vote
 from .errors import TrackmergeError
 from .labelmap import read_frames, write_frames
 from .manifest import filter_manifest, load_manifest, save_manifest
+from .mask import Mask, Patch
 from .merging import greedy_merge, oracle_merge, save_trackset
 from .metrics import evaluate, write_report
 from .scoring import COMPONENTS, WeightVector, effective_weights
@@ -108,15 +109,30 @@ def parse_components(text: str):
 
 def load_gt_dir(path):
     """Read a directory of per-frame GT label-map PGMs into the per-frame
-    {object_id: Mask} layout used by evaluation and oracle merging."""
+    {object_id: Mask} layout used by evaluation and oracle merging. One
+    compare over all the frames finds an object's pixels; the rows and
+    columns that hold any give its box in each frame, and it is encoded
+    from its crop there (Mask.from_patch), which its mask keeps for J and
+    F."""
     maps = read_frames(path)
-    present = np.zeros(256, dtype=bool)  # labels are bytes
-    for lm in maps:
-        present |= np.bincount(lm.labels.ravel(), minlength=256) > 0
-    ids = np.flatnonzero(present[1:]) + 1
-    if not ids.size:
+    w, h = maps[0].width, maps[0].height
+    labels = np.stack([lm.labels for lm in maps])
+    frames = [{} for _ in maps]
+    for j in range(1, int(labels.max()) + 1):
+        pixels = labels == j
+        if not pixels.any():
+            continue
+        rows, cols = pixels.any(axis=2), pixels.any(axis=1)  # (frames, h), (frames, w)
+        present = rows.any(axis=1).tolist()
+        y0, x0 = rows.argmax(axis=1).tolist(), cols.argmax(axis=1).tolist()
+        y1 = (h - rows[:, ::-1].argmax(axis=1)).tolist()
+        x1 = (w - cols[:, ::-1].argmax(axis=1)).tolist()
+        for t, frame in enumerate(frames):
+            crop = Patch(y0[t], x0[t], pixels[t, y0[t] : y1[t], x0[t] : x1[t]])
+            frame[j] = Mask.from_patch(crop, w, h, tight=True) if present[t] else Mask.empty(w, h)
+    if not frames[0]:
         raise TrackmergeError(f"{path}: ground truth contains no objects")
-    return [{int(j): lm.object_mask(int(j)) for j in ids} for lm in maps]
+    return frames
 
 
 # ---------------------------------------------------------------------------

@@ -101,10 +101,15 @@ def read_pgm(path) -> LabelMap:
 
 
 def write_frames(maps, directory):
-    """Write frame t of ``maps`` to ``directory``/<t:05d>.pgm, creating it."""
+    """Write frame t of ``maps`` to ``directory``/<t:05d>.pgm, creating it.
+    Any other .pgm file there is removed, so that read_frames reads back
+    these frames alone."""
     os.makedirs(directory, exist_ok=True)
-    for t, lm in enumerate(maps):
-        write_pgm(lm, os.path.join(directory, f"{t:05d}.pgm"))
+    names = [f"{t:05d}.pgm" for t in range(len(maps))]
+    for stale in set(glob.glob("*.pgm", root_dir=directory)).difference(names):
+        os.remove(os.path.join(directory, stale))
+    for name, lm in zip(names, maps):
+        write_pgm(lm, os.path.join(directory, name))
 
 
 def read_frames(directory) -> list:

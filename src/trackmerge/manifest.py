@@ -8,6 +8,7 @@ import json
 import os
 from dataclasses import dataclass, field, replace
 from functools import partial
+from itertools import chain, islice, repeat, starmap
 
 import numpy as np
 
@@ -22,8 +23,10 @@ from .mask import (
     intersection_area,
     iou_bounds,
     ious,
+    masks_from_runs,
     run_table,
     sub_table,
+    table_boxes,
     tight_boxes,
 )
 
@@ -47,6 +50,17 @@ class Proposal:
             raise ManifestError("embedding must be a 1D finite vector")
         emb.setflags(write=False)
         object.__setattr__(self, "embedding", emb)
+
+    @classmethod
+    def _trusted(cls, frame_index, mask, bbox, objectness, embedding) -> "Proposal":
+        """A proposal of fields that passed these checks already, its
+        embedding a read-only float64 vector."""
+        p = object.__new__(cls)
+        p.__dict__.update(
+            frame_index=frame_index, mask=mask, bbox=bbox, objectness=objectness,
+            embedding=embedding,
+        )
+        return p
 
 
 @dataclass(frozen=True, eq=False)
@@ -335,6 +349,58 @@ def _frame_from_json(frame, t, width, height) -> list:
     ]
 
 
+_KEYS = frozenset({"rle", "objectness", "embedding"})  # what every proposal must have
+
+
+def _frames_at_once(frames, width, height) -> list | None:
+    """The proposals of every frame, with the checks of _frame_from_json made
+    once for all of them, in array form: the masks and their run table from
+    one concatenation of all their runs (mask.masks_from_runs), and one
+    array each of the objectness values and the embeddings. None if any
+    check fails, so that _frame_from_json, frame by frame, finds and names
+    the first bad entry; also None when the embeddings' lengths differ,
+    which VideoManifest names, and when there are no proposals."""
+    objs = list(chain.from_iterable(frames))
+    if not all(type(obj) is dict and obj.keys() >= _KEYS for obj in objs):
+        return None
+    parsed = masks_from_runs([obj["rle"] for obj in objs], width, height)
+    if parsed is None:
+        return None
+    masks, table = parsed
+    if not table.areas.all():  # an empty mask has no bbox
+        return None
+    tight = table_boxes(table, height).T.tolist()
+    given = [obj.get("bbox") for obj in objs]
+    stored = [b for b in given if b is not None]
+    objectness = [obj["objectness"] for obj in objs]
+    embeddings = [obj["embedding"] for obj in objs]
+    # one C-level pass over each set of item types; bool is a type of its own
+    if not (
+        all(type(b) is list for b in stored)
+        and set(map(type, chain.from_iterable(stored))) <= {int}
+        and all(b is None or b == tb for b, tb in zip(given, tight))
+        and set(map(type, objectness)) <= _REALS
+        and set(map(type, embeddings)) == {list}
+        and set(map(type, chain.from_iterable(embeddings))) <= _REALS
+        and len(set(map(len, embeddings))) == 1
+    ):
+        return None
+    try:
+        objectness = np.array(objectness, np.float64)
+        embeddings = np.array(embeddings, np.float64)
+    except OverflowError:  # an integer beyond the float range
+        return None
+    if not (((objectness >= 0) & (objectness <= 1)).all() and np.isfinite(embeddings).all()):
+        return None
+    embeddings.setflags(write=False)
+    proposals = map(
+        Proposal._trusted,
+        chain.from_iterable(repeat(t, len(f)) for t, f in enumerate(frames)),
+        masks, starmap(BBox, tight), objectness.tolist(), embeddings,
+    )
+    return [list(islice(proposals, len(f))) for f in frames]
+
+
 def manifest_to_json(m: VideoManifest) -> dict:
     """Serializable dict in the manifest schema (inverse of the loader)."""
     return {
@@ -402,10 +468,10 @@ def load_manifest(path) -> VideoManifest:
                 embedding=_require_reals(obj, "embedding", where),
             )
         )
-    frames = [
-        _frame_from_json(frame, t, width, height)
-        for t, frame in enumerate(_require_list(data, "frames", "manifest", {list}))
-    ]
+    frames = _require_list(data, "frames", "manifest", {list})
+    proposals = _frames_at_once(frames, width, height)
+    if proposals is None:
+        proposals = [_frame_from_json(frame, t, width, height) for t, frame in enumerate(frames)]
     flow_paths = _require_list(data, "flows", "manifest", {str})
     for p in flow_paths:
         if not os.path.isfile(os.path.join(base_dir, p)):
@@ -416,7 +482,7 @@ def load_manifest(path) -> VideoManifest:
         height=height,
         frame_count=_require_int(data, "frame_count", "manifest"),
         embedding_dim=_require_int(data, "embedding_dim", "manifest"),
-        proposals=frames,
+        proposals=proposals,
         ground_truth=gts,
         flow_paths=flow_paths,
         base_dir=base_dir,

@@ -16,6 +16,7 @@ kernels and the synthetic scenes hand it their boxes directly.
 from __future__ import annotations
 
 import math
+from itertools import chain
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -40,18 +41,22 @@ class BBox:
             raise MaskError("bbox coordinates must be non-negative")
 
 
+def _check_size(width, height):
+    if width <= 0 or height <= 0:
+        raise MaskError(
+            f"mask dimensions must be positive, got {shown(width)}x{shown(height)}"
+        )
+    if width * height >= 2**63:  # run bounds are int64
+        raise MaskError(f"mask of {shown(width)}x{shown(height)} has too many pixels")
+
+
 class Mask:
     """Immutable binary mask of shape (height, width)."""
 
-    __slots__ = ("width", "height", "runs", "_bounds")
+    __slots__ = ("width", "height", "runs", "_bounds", "_crop")
 
     def __init__(self, width, height, runs):
-        if width <= 0 or height <= 0:
-            raise MaskError(
-                f"mask dimensions must be positive, got {shown(width)}x{shown(height)}"
-            )
-        if width * height >= 2**63:  # run bounds are int64
-            raise MaskError(f"mask of {shown(width)}x{shown(height)} has too many pixels")
+        _check_size(width, height)
         runs = tuple(map(int, runs))
         if runs and min(runs) < 0:
             raise MaskError("negative run length")
@@ -62,10 +67,16 @@ class Mask:
             raise MaskError(
                 f"runs sum to {shown(total)}, expected {width * height} for {width}x{height}"
             )
-        object.__setattr__(self, "width", int(width))
-        object.__setattr__(self, "height", int(height))
-        object.__setattr__(self, "runs", runs)
-        object.__setattr__(self, "_bounds", None)
+        _store(self, int(width), int(height), runs, None, None)
+
+    @classmethod
+    def _trusted(cls, width: int, height: int, runs: tuple, bounds, crop=None) -> "Mask":
+        """A mask of runs that make a valid mask, which nothing here checks
+        again, their read-only int64 cumsum ``bounds`` (or None) and its
+        read-only tight ``crop`` (or None)."""
+        m = object.__new__(cls)
+        _store(m, width, height, runs, bounds, crop)
+        return m
 
     def __setattr__(self, name, value):
         raise AttributeError("Mask is immutable")
@@ -99,10 +110,11 @@ class Mask:
         return cls.empty(w, h) if p is None else cls.from_patch(p, w, h)
 
     @classmethod
-    def from_patch(cls, p: Patch, width, height) -> "Mask":
+    def from_patch(cls, p: Patch, width, height, tight=False) -> "Mask":
         """Encode a Patch placed in a (height, width) image that is
         background elsewhere; canonical output, at a cost that follows the
-        patch's box, not the image.
+        patch's box, not the image. A ``tight`` patch is its foreground's
+        bounding box, which the mask then keeps (read-only) for crop().
 
         Each box column, padded by one False pixel above and below, changes
         value where a run starts or ends; box pixel (r, c) is image offset
@@ -110,6 +122,7 @@ class Mask:
         start that meet where a run goes on from the last row of one column
         to the first row of the next, so both are dropped.
         """
+        _check_size(width, height)
         h, w = p.grid.shape
         if p.y0 < 0 or p.x0 < 0 or p.y0 + h > height or p.x0 + w > width:
             raise MaskError(
@@ -128,7 +141,11 @@ class Mask:
         last = width * height - int(offsets[-1])
         if last:  # else the last pixel is foreground: no trailing run
             runs.append(last)
-        return cls(width, height, runs)
+        kept = None
+        if tight:
+            kept = Patch(p.y0, p.x0, np.array(p.grid, dtype=bool))
+            kept.grid.setflags(write=False)
+        return cls._trusted(int(width), int(height), tuple(runs), None, kept)
 
     @classmethod
     def empty(cls, width, height) -> "Mask":
@@ -167,6 +184,15 @@ class Mask:
         if box is None:
             raise MaskError("empty mask has no bounding box")
         return box
+
+
+def _store(m: Mask, width, height, runs, bounds, crop):
+    set_slot = object.__setattr__
+    set_slot(m, "width", width)
+    set_slot(m, "height", height)
+    set_slot(m, "runs", runs)
+    set_slot(m, "_bounds", bounds)
+    set_slot(m, "_crop", crop)
 
 
 def check_same_shape(a: Mask, b: Mask):
@@ -217,8 +243,9 @@ def foreground(m: Mask) -> np.ndarray:
     b = m.bounds()
     starts, ends = b[0:-1:2], b[1::2]
     lengths = ends - starts
-    # the k-th foreground pixel, in run i, is pixel k + ends[i] - cumsum(lengths)[i]
-    return np.arange(m.area) + np.repeat(ends - np.cumsum(lengths), lengths)
+    cum = lengths.cumsum()
+    # the k-th foreground pixel, in run i, is pixel k + ends[i] - cum[i]
+    return np.arange(cum[-1] if cum.size else 0) + np.repeat(ends - cum, lengths)
 
 
 class RunTable(NamedTuple):
@@ -236,9 +263,61 @@ def run_table(masks) -> RunTable:
     starts = np.concatenate([b[0:-1:2] for b in bounds])
     ends = np.concatenate([b[1::2] for b in bounds])
     first = np.concatenate(([0], np.cumsum([len(b) // 2 for b in bounds])))
-    # each mask's area: the sum of its runs' lengths
+    return RunTable(starts, ends, first, _areas(starts, ends, first))
+
+
+def _areas(starts, ends, first) -> np.ndarray:
+    """Each mask's area: the sum of its runs' lengths."""
     cum = np.concatenate(([0], np.cumsum(ends - starts)))
-    return RunTable(starts, ends, first, cum[first[1:]] - cum[first[:-1]])
+    return cum[first[1:]] - cum[first[:-1]]
+
+
+def masks_from_runs(run_lists, width, height):
+    """The masks of a frame's RLE count lists, each a list of ints as JSON
+    gives it, and their RunTable. The lists are checked at C speed, a pass
+    over all the counts per check, and the masks get their bounds, and the
+    table its runs, from one cumsum of all the counts. None if any list
+    fails a check that Mask's constructor makes, so the caller can find the
+    first bad one through it; also None for no lists, and for an image so
+    large that the cumsum could overflow."""
+    if not run_lists:
+        return None
+    size = width * height
+    if width <= 0 or height <= 0 or set(map(type, run_lists)) != {list}:
+        return None
+    flat = list(chain.from_iterable(run_lists))
+    if set(map(type, flat)) != {int} or len(flat) * size >= 2**63:  # bool is not int
+        return None
+    try:
+        runs = np.array(flat, np.int64)
+    except OverflowError:
+        return None
+    lengths = np.fromiter(map(len, run_lists), np.int64, len(run_lists))
+    ends = lengths.cumsum()
+    # with every count in [0, size], no sum of them overflows
+    if not lengths.all() or runs.min() < 0 or runs.max() > size:
+        return None
+    # where each run ends, counted from its mask's start: when every list
+    # sums to size, the counts before mask i sum to i * size
+    bounds = runs.cumsum()
+    bounds -= np.repeat(np.arange(0, len(lengths) * size, size, dtype=np.int64), lengths)
+    if (bounds[ends - 1] != size).any() or (
+        np.count_nonzero(runs == 0) != np.count_nonzero(runs[ends - lengths] == 0)
+    ):  # a list that does not sum to size, or a 0 but a first count
+        return None
+    bounds.setflags(write=False)
+    masks = [
+        Mask._trusted(width, height, tuple(r), bounds[e - n : e])
+        for r, n, e in zip(run_lists, lengths.tolist(), ends.tolist())
+    ]
+    # without the odd last bound of a mask, which ends its last background
+    # run, the bounds alternate foreground starts and ends
+    fg = np.ones(len(bounds), dtype=bool)
+    fg[ends[lengths % 2 == 1] - 1] = False
+    pairs = bounds[fg]
+    first = np.concatenate(([0], np.cumsum(lengths // 2)))
+    starts, ends = pairs[0::2], pairs[1::2]
+    return masks, RunTable(starts, ends, first, _areas(starts, ends, first))
 
 
 def sub_table(table: RunTable, rows: np.ndarray) -> RunTable:
@@ -431,11 +510,27 @@ def count_inside(points: Patch, zone: Patch) -> int:
     return int(np.count_nonzero(a & b))
 
 
+def crop(m: Mask) -> Patch | None:
+    """``patch(m.dense())`` without the full frame: the mask cropped to its
+    foreground's bounding box, None when it is empty. It is the tight patch
+    the mask was encoded from, if kept, else decoded from the foreground's
+    pixel indices at a cost that follows its area."""
+    if m._crop is not None:
+        return m._crop
+    cols, rows = np.divmod(foreground(m), m.height)
+    if not cols.size:
+        return None
+    y0, x0 = int(rows.min()), int(cols[0])
+    grid = np.zeros((int(rows.max()) + 1 - y0, int(cols[-1]) + 1 - x0), dtype=bool)
+    grid[rows - y0, cols - x0] = True
+    return Patch(y0, x0, grid)
+
+
 def boundary(m: Mask) -> Mask:
     """Foreground pixels 4-adjacent to background or to the image border."""
     if m.is_empty:
         return m
-    return Mask.from_patch(boundary_patch(patch(m.dense())), m.width, m.height)
+    return Mask.from_patch(boundary_patch(crop(m)), m.width, m.height)
 
 
 def dilate(m: Mask, radius: float) -> Mask:
@@ -444,5 +539,5 @@ def dilate(m: Mask, radius: float) -> Mask:
         raise MaskError(f"dilation radius must be >= 0, got {radius}")
     if radius == 0 or m.is_empty:
         return m
-    p = dilate_patch(patch(m.dense()), radius, m.height, m.width)
+    p = dilate_patch(crop(m), radius, m.height, m.width)
     return Mask.from_patch(p, m.width, m.height)

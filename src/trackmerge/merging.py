@@ -27,13 +27,13 @@ its flows from disk keeps nothing.
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass, field
 from itertools import zip_longest
 
 import numpy as np
 
+from . import jsonfile
 from .errors import TrackmergeError
 from .labelmap import paint, write_frames
 from .manifest import FrameMemo, VideoManifest
@@ -252,11 +252,7 @@ def save_trackset(ts: TrackSet, out_dir):
     selections.json report."""
     video_dir = os.path.join(out_dir, ts.video_id)
     write_frames(ts.label_maps, video_dir)
-    with open(os.path.join(video_dir, "selections.json"), "w", encoding="utf-8") as f:
-        json.dump(
-            {"video_id": ts.video_id, "object_ids": ts.object_ids, "frames": ts.report},
-            f,
-            sort_keys=True,
-            indent=2,
-        )
-        f.write("\n")
+    jsonfile.write(
+        os.path.join(video_dir, "selections.json"),
+        {"video_id": ts.video_id, "object_ids": ts.object_ids, "frames": ts.report},
+    )

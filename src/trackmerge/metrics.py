@@ -17,7 +17,8 @@ diagonal) pixels. They differ in the boundary and in the matching:
 Compare F between runs of this package, not with published DAVIS numbers.
 
 J and F run with numpy alone on crops: each scored object, predicted or GT,
-is cut once to its bounding box (``mask.patch``). J counts the pixels set in
+is cut once to its bounding box, a label map's by ``mask.patch`` and a
+mask's, from its runs, by ``mask.crop``. J counts the pixels set in
 both crops, F applies the boundary and row-segment disk dilation kernel in
 ``mask`` to them. A GT frame's crops, areas, boundaries and their dilations
 are prepared once (``prepare_frame``) and shared by every label map scored
@@ -27,7 +28,6 @@ against that frame. ``j_measure`` alone is ``mask.iou`` on the runs.
 from __future__ import annotations
 
 import csv
-import json
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -35,6 +35,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import jsonfile
 from .errors import TrackmergeError
 from .mask import (
     Mask,
@@ -42,6 +43,7 @@ from .mask import (
     boundary_patch,
     check_same_shape,
     count_inside,
+    crop,
     dilate_patch,
     iou,
     patch,
@@ -64,7 +66,7 @@ def f_measure(pred: Mask, gt: Mask, tolerance: float) -> float:
     of the other mask's boundary (dilated-boundary approximation)."""
     _check_tolerance(tolerance)
     check_same_shape(pred, gt)
-    return _similarities(patch(pred.dense()), _prepare(0, gt, tolerance), tolerance)[1]
+    return _similarities(crop(pred), _prepare(0, gt, tolerance), tolerance)[1]
 
 
 def _check_tolerance(tolerance):
@@ -84,7 +86,7 @@ class GTObject(NamedTuple):
 
 
 def _prepare(object_id, gt: Mask, tolerance) -> GTObject:
-    box = patch(gt.dense())
+    box = crop(gt)
     if box is None:
         return GTObject(object_id, gt, None, 0, None, None)
     gb = boundary_patch(box)
@@ -267,9 +269,7 @@ def result_to_dict(res: EvalResult) -> dict:
 
 
 def write_report(res: EvalResult, json_path, csv_path=None):
-    with open(json_path, "w", encoding="utf-8") as f:
-        json.dump(result_to_dict(res), f, sort_keys=True, indent=2)
-        f.write("\n")
+    jsonfile.write(json_path, result_to_dict(res))
     if csv_path:
         with open(csv_path, "w", newline="", encoding="utf-8") as f:
             writer = csv.writer(f)

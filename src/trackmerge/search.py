@@ -15,12 +15,14 @@ from __future__ import annotations
 
 import json
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import repeat
 
 import numpy as np
 
+from . import jsonfile
 from .errors import TrackmergeError
+from .jsonfile import SLOT
 from .merging import group_rows, merge_walk
 from .metrics import full_video_gt, summarize
 from .scoring import WeightVector
@@ -165,10 +167,24 @@ def result_to_dict(res: SearchResult) -> dict:
     }
 
 
+# a ranked or trace entry of result_to_dict, laid out as an item of its list
+_CANDIDATE = jsonfile.template({"index": SLOT, "score": SLOT, "weights": [SLOT] * 5}, depth=2)
+
+
 def save_search_result(res: SearchResult, path):
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(result_to_dict(res), f, sort_keys=True, indent=2)
-        f.write("\n")
+    """Write result_to_dict(res) as JSON, each candidate through a template."""
+    number = jsonfile.number
+
+    def candidates(entries):
+        return jsonfile.array(
+            [_CANDIDATE(number(i), number(s), *map(number, w)) for i, w, s in entries], depth=1
+        )
+
+    jsonfile.write(path, {
+        **result_to_dict(replace(res, ranked=[], trace=[])),
+        "ranked": candidates((i, w.as_array().tolist(), s) for i, w, s in res.ranked),
+        "trace": candidates((t["index"], t["weights"], t["score"]) for t in res.trace),
+    })
 
 
 def load_top_k_weights(path) -> list:

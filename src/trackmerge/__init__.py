@@ -25,7 +25,7 @@ from .scoring import (
     inverse_scores,
     reid_score,
 )
-from .search import SearchConfig, SearchResult, random_search, sample_simplex
+from .search import SearchConfig, SearchResult, random_search
 from .synth import (
     ScenarioSpec,
     ShapeSpec,

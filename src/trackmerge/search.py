@@ -61,18 +61,11 @@ class SearchResult:
     leaves: int = 0  # distinct whole-video merges: one summary each
 
 
-def sample_simplex(rng: np.random.Generator) -> WeightVector:
-    """Uniform draw on the 4-simplex: five standard-exponential variates
-    normalized by their sum."""
-    draws = rng.standard_exponential(5)
-    return WeightVector.from_array(draws / draws.sum())
-
-
 def _candidates(cfg: SearchConfig) -> np.ndarray:
     """The (sample_count, 5) candidate weights. Row 0 is always the
-    equal-weights vector; the rest are seeded uniform simplex samples (PCG64
-    stream from the configured seed), drawn as sample_simplex draws them, in
-    one call."""
+    equal-weights vector; the rest are seeded uniform draws on the simplex,
+    each five standard-exponential variates normalized by their sum, all
+    from one PCG64 stream of the configured seed in one call."""
     draws = np.random.default_rng(cfg.seed).standard_exponential((cfg.sample_count - 1, 5))
     draws /= draws.sum(axis=1, keepdims=True)
     return np.vstack([WeightVector.equal().as_array(), draws])

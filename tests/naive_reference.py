@@ -203,3 +203,11 @@ def reference_merge(manifest, weights=None, active=ALL_ACTIVE):
         report.append({"frame": t, "objects": objects})
 
     return TrackSet(manifest.video_id, ids, selections, label_maps, report)
+
+
+def sample_simplex(rng: np.random.Generator) -> WeightVector:
+    """Uniform draw on the 4-simplex: five standard-exponential variates
+    normalized by their sum. search._candidates draws its rows so, all in
+    one call."""
+    draws = rng.standard_exponential(5)
+    return WeightVector.from_array(draws / draws.sum())

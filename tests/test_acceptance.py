@@ -30,10 +30,10 @@ from trackmerge.mask import Mask, iou
 from trackmerge.merging import greedy_merge, oracle_merge
 from trackmerge.metrics import evaluate, f_measure, j_measure, sequence_stats
 from trackmerge.scoring import WeightVector
-from trackmerge.search import SearchConfig, random_search, result_to_dict, sample_simplex
+from trackmerge.search import SearchConfig, random_search, result_to_dict
 from trackmerge.synth import generate, crossing_scenario, gt_label_maps, random_scenario
 
-from naive_reference import naive_selections
+from naive_reference import naive_selections, sample_simplex
 
 
 def _ok(n, label):

@@ -6,8 +6,10 @@ import sys
 import numpy as np
 import pytest
 
-from trackmerge.cli import main, parse_components, parse_weights
+from trackmerge.cli import load_gt_dir, main, parse_components, parse_weights
 from trackmerge.cli import UsageError
+from trackmerge.labelmap import LabelMap, write_frames
+from trackmerge.mask import crop, patch
 from trackmerge.synth import random_scenario
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -682,3 +684,108 @@ class TestPipeline:
         err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert err["error"] == "ManifestError" and "video_id" in err["message"]
         assert not (tmp_path / "work").exists()
+
+
+class TestReusedOutputDirectory:
+    """A result directory written again holds the frames of the last write
+    alone: a frame left from an earlier, longer write is removed, so eval
+    and ensemble read what the command wrote."""
+
+    def crossing(self, tmp_path):
+        data = tmp_path / "data"
+        assert run("synth", "--out", str(data), "--preset", "crossing", "--seed", "1") == 0
+        return data
+
+    def frames(self, directory):
+        return sorted(f for f in os.listdir(directory) if f.endswith(".pgm"))
+
+    def test_merge_again_removes_a_stale_frame(self, tmp_path):
+        data = self.crossing(tmp_path)
+        out = tmp_path / "o2"
+        merge = "merge", "--manifest", str(data / "manifest.json"), "--out", str(out)
+        assert run(*merge) == 0
+        video = out / "crossing_1"
+        written = self.frames(video)
+        (video / f"{len(written):05d}.pgm").write_bytes((video / "00000.pgm").read_bytes())
+        assert run(*merge) == 0
+        assert self.frames(video) == written
+        report = tmp_path / "eval.json"
+        assert run("eval", "--pred", str(video), "--gt", str(data / "gt"),
+                   "--out", str(report)) == 0
+
+    def test_ensemble_again_removes_a_stale_frame(self, tmp_path):
+        data = self.crossing(tmp_path)
+        out = tmp_path / "o2"
+        assert run("merge", "--manifest", str(data / "manifest.json"), "--out", str(out)) == 0
+        voted = tmp_path / "voted"
+        ensemble = "ensemble", "--inputs", str(out), str(out), "--out", str(voted)
+        assert run(*ensemble) == 0
+        written = self.frames(voted / "crossing_1")
+        (voted / "crossing_1" / "00099.pgm").write_bytes((out / "crossing_1" / "00000.pgm").read_bytes())
+        assert run(*ensemble) == 0
+        assert self.frames(voted / "crossing_1") == written
+
+    def test_synth_with_fewer_frames_leaves_no_stale_gt(self, tmp_path):
+        data = tmp_path / "data"
+        synth = "synth", "--out", str(data), "--preset", "single", "--seed", "1"
+        assert run(*synth, "--frames", "7") == 0
+        assert len(self.frames(data / "gt")) == 7
+        assert run(*synth, "--frames", "4") == 0
+        assert self.frames(data / "gt") == [f"{t:05d}.pgm" for t in range(4)]
+        merged = tmp_path / "merged"
+        assert run("merge", "--manifest", str(data / "manifest.json"), "--out", str(merged)) == 0
+        assert run("eval", "--pred", str(merged / "single_1"), "--gt", str(data / "gt"),
+                   "--out", str(tmp_path / "eval.json")) == 0
+
+    def test_other_files_are_left_alone(self, tmp_path):
+        data = self.crossing(tmp_path)
+        out = tmp_path / "o2"
+        merge = "merge", "--manifest", str(data / "manifest.json"), "--out", str(out)
+        assert run(*merge) == 0
+        keep = out / "crossing_1" / "notes.txt"
+        keep.write_text("mine")
+        assert run(*merge) == 0
+        assert keep.read_text() == "mine"
+
+
+class TestLoadGtDir:
+    """load_gt_dir encodes each object from its crop of the stacked frames;
+    its masks are LabelMap.object_mask's, and the crops they keep are
+    patch() of each object's dense grid."""
+
+    def maps(self):
+        rng = np.random.default_rng(4)
+        maps = []
+        for t in range(5):
+            labels = np.zeros((13, 17), np.uint8)
+            labels[2 + t : 6 + t, 1:5] = 3  # moves down
+            labels[0:2, 15:17] = 255  # touches the top right corner
+            if t != 2:  # absent from frame 2
+                labels[rng.integers(0, 13, 6), rng.integers(0, 17, 6)] = 10  # scattered pixels
+            labels[12, :] = 1 if t % 2 else 0  # the bottom row, every other frame
+            maps.append(LabelMap(17, 13, labels))
+        return maps
+
+    def test_masks_and_crops(self, tmp_path):
+        maps = self.maps()
+        write_frames(maps, tmp_path)
+        gt = load_gt_dir(str(tmp_path))
+        assert len(gt) == len(maps)
+        for lm, frame in zip(maps, gt):
+            assert list(frame) == [1, 3, 10, 255]
+            for j, m in frame.items():
+                assert m == lm.object_mask(j)
+                p, want = crop(m), patch(lm.labels == j)
+                if want is None:
+                    assert p is None and m.is_empty
+                else:
+                    assert (p.y0, p.x0) == (want.y0, want.x0)
+                    assert np.array_equal(p.grid, want.grid)
+
+    def test_no_objects(self, tmp_path, capsys):
+        write_frames([LabelMap.background(4, 3)] * 2, tmp_path / "gt")
+        pred = tmp_path / "pred"
+        write_frames([LabelMap.background(4, 3)] * 2, pred)
+        assert run("eval", "--pred", str(pred), "--gt", str(tmp_path / "gt"),
+                   "--out", str(tmp_path / "e.json")) == 1
+        assert "ground truth contains no objects" in capsys.readouterr().err

@@ -13,7 +13,16 @@ from hypothesis import strategies as st
 
 from trackmerge.errors import MaskError, TrackmergeError
 from trackmerge.labelmap import LabelMap
-from trackmerge.mask import Mask, Patch, boundary, boundary_patch, dilate, dilate_patch, patch
+from trackmerge.mask import (
+    Mask,
+    Patch,
+    boundary,
+    boundary_patch,
+    crop,
+    dilate,
+    dilate_patch,
+    patch,
+)
 from trackmerge.metrics import (
     ObjectResult,
     check_labels,
@@ -310,6 +319,43 @@ class TestBoundaryPatch:
         y0, x0 = max(p.y0 - dy, 0), max(p.x0 - dx, 0)
         y1, x1 = min(p.y0 + p.grid.shape[0] + dy, h), min(p.x0 + p.grid.shape[1] + dx, w)
         self.check(Patch(y0, x0, g[y0:y1, x0:x1]), g)
+
+
+class TestCrop:
+    """mask.crop, the crop of a mask from its runs, and the tight crop a
+    mask encoded from one keeps: each is patch() of the dense grid."""
+
+    @staticmethod
+    def same(a, b):
+        if a is None or b is None:
+            assert a is None and b is None
+            return
+        assert (a.y0, a.x0) == (b.y0, b.x0)
+        assert a.grid.dtype == bool and np.array_equal(a.grid, b.grid)
+
+    @KERNEL
+    @given(single)
+    def test_from_runs(self, g):
+        self.same(crop(Mask.from_dense(g)), patch(g))
+
+    def test_edge_masks(self):
+        for g in [*edge_grids(), *edge_grids(1, 9), *edge_grids(7, 1)]:
+            self.same(crop(Mask.from_dense(g)), patch(g))
+
+    @KERNEL
+    @given(single)
+    def test_kept(self, g):
+        p = patch(g)
+        if p is None:
+            return
+        h, w = g.shape
+        m = Mask.from_patch(p, w, h, tight=True)
+        assert m == Mask.from_dense(g)
+        kept = crop(m)
+        self.same(kept, p)
+        assert not kept.grid.flags.writeable and not np.shares_memory(kept.grid, p.grid)
+        # a copy or a pickle decodes its crop from the runs again
+        self.same(crop(Mask(m.width, m.height, m.runs)), p)
 
 
 class TestRejected:

@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from naive_reference import naive_selections
+from naive_reference import naive_selections, sample_simplex
 from trackmerge.errors import TrackmergeError
 from trackmerge.flow import warp_mask
 from trackmerge.manifest import filter_manifest
@@ -19,7 +19,6 @@ from trackmerge.scoring import (
     inverse_scores,
     reid_score,
 )
-from trackmerge.search import sample_simplex
 from trackmerge.synth import (
     ScenarioSpec,
     ShapeSpec,

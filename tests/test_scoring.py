@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from naive_reference import sample_simplex
 from trackmerge.errors import TrackmergeError
 from trackmerge.flow import FlowField, warp_mask
 from trackmerge.manifest import filter_manifest
@@ -21,7 +22,6 @@ from trackmerge.scoring import (
     inverse_scores,
     reid_score,
 )
-from trackmerge.search import sample_simplex
 from trackmerge.synth import crossing_scenario, generate, random_scenario
 
 

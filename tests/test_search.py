@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from naive_reference import sample_simplex
 from trackmerge import search
 from trackmerge.errors import TrackmergeError
 from trackmerge.manifest import filter_manifest
@@ -12,7 +13,6 @@ from trackmerge.search import (
     SearchConfig,
     random_search,
     result_to_dict,
-    sample_simplex,
 )
 from trackmerge.synth import generate, random_scenario
 

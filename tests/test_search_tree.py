@@ -10,7 +10,7 @@ import naive_reference
 import numpy as np
 import pytest
 
-from naive_reference import reference_merge
+from naive_reference import reference_merge, sample_simplex
 from trackmerge import merging
 from trackmerge.errors import TrackmergeError
 from trackmerge.flow import FlowField
@@ -19,7 +19,7 @@ from trackmerge.manifest import GroundTruthObject, Proposal, VideoManifest, filt
 from trackmerge.mask import Mask
 from trackmerge.merging import greedy_merge, oracle_merge
 from trackmerge.metrics import evaluate
-from trackmerge.search import SearchConfig, random_search, result_to_dict, sample_simplex
+from trackmerge.search import SearchConfig, random_search, result_to_dict
 from trackmerge.scoring import WeightVector, combined_score, frame_subscores
 from trackmerge.synth import (
     ScenarioSpec,

@@ -3,12 +3,12 @@ import hashlib
 import numpy as np
 import pytest
 
+from naive_reference import sample_simplex
 from trackmerge.errors import TrackmergeError
 from trackmerge.flow import warp_mask
 from trackmerge.manifest import load_manifest, save_manifest
 from trackmerge.merging import greedy_merge
 from trackmerge.metrics import evaluate
-from trackmerge.search import sample_simplex
 from trackmerge.synth import (
     ScenarioSpec,
     ShapeSpec,

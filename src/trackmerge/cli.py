@@ -127,7 +127,7 @@ def load_gt_dir(path):
         y0, x0 = rows.argmax(axis=1).tolist(), cols.argmax(axis=1).tolist()
         y1 = (h - rows[:, ::-1].argmax(axis=1)).tolist()
         x1 = (w - cols[:, ::-1].argmax(axis=1)).tolist()
-        for t, frame in enumerate(frames):
+        for t, frame in enumerate(frames):  # where j is absent its box is the whole frame
             crop = Patch(y0[t], x0[t], pixels[t, y0[t] : y1[t], x0[t] : x1[t]])
             frame[j] = Mask.from_patch(crop, w, h, tight=True) if present[t] else Mask.empty(w, h)
     if not frames[0]:

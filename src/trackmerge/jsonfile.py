@@ -22,6 +22,8 @@ import re
 from itertools import count
 from json.encoder import encode_basestring_ascii as _string
 
+import numpy as np
+
 from .errors import TrackmergeError
 
 SLOT = object()  # a leaf of a template's sample
@@ -31,17 +33,6 @@ class Text(str):
     """JSON text that ``dumps`` writes as it is, laid out for its depth."""
 
 
-class Numbers(dict):
-    """number() of each value looked up, formatted once per distinct
-    nonzero value (0.0 and -0.0 are equal keys with different texts)."""
-
-    def __missing__(self, x):
-        text = number(x)
-        if x:
-            self[x] = text
-        return text
-
-
 def number(x) -> str:
     """An int or a float as json writes it; NaN and infinities raise."""
     if type(x) is int:
@@ -49,6 +40,18 @@ def number(x) -> str:
     if not math.isfinite(x):
         raise TrackmergeError(f"{x!r} is not a JSON number")
     return float.__repr__(x)
+
+
+def numbers(values) -> list:
+    """number() of each value in the list ``values``; floats alone go
+    through float.__repr__ in one C-level pass."""
+    try:
+        texts = list(map(float.__repr__, values))
+    except TypeError:  # not all floats
+        return list(map(number, values))
+    if not np.isfinite(np.fromiter(values, np.float64, len(values))).all():
+        return list(map(number, values))  # raises, naming the value
+    return texts
 
 
 def array(items, depth=0) -> Text:

@@ -16,8 +16,8 @@ kernels and the synthetic scenes hand it their boxes directly.
 from __future__ import annotations
 
 import math
-from itertools import chain
 from dataclasses import dataclass
+from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -273,10 +273,10 @@ def _areas(starts, ends, first) -> np.ndarray:
 
 
 def masks_from_runs(run_lists, width, height):
-    """The masks of a frame's RLE count lists, each a list of ints as JSON
-    gives it, and their RunTable. The lists are checked at C speed, a pass
-    over all the counts per check, and the masks get their bounds, and the
-    table its runs, from one cumsum of all the counts. None if any list
+    """The (height, width) masks of RLE count lists, each a list of ints as
+    JSON gives it, and their RunTable. The lists are checked at C speed, a
+    pass over all the counts per check, and the masks get their bounds, and
+    the table its runs, from one cumsum of all the counts. None if any list
     fails a check that Mask's constructor makes, so the caller can find the
     first bad one through it; also None for no lists, and for an image so
     large that the cumsum could overflow."""

@@ -164,19 +164,28 @@ def result_to_dict(res: SearchResult) -> dict:
 _CANDIDATE = jsonfile.template({"index": SLOT, "score": SLOT, "weights": [SLOT] * 5}, depth=2)
 
 
+def _entries_text(entries) -> jsonfile.Text:
+    """The list of ranked or trace entries, (index, weights, score) each,
+    through _CANDIDATE when every entry has a list of five weights."""
+    if not all(type(w) is list and len(w) == 5 for _, w, _ in entries):
+        return jsonfile.Text(jsonfile.dumps(
+            [{"index": i, "weights": w, "score": s} for i, w, s in entries], depth=1))
+    texts = jsonfile.numbers([x for _, w, s in entries for x in (s, *w)])
+    return jsonfile.array([
+        _CANDIDATE(jsonfile.number(i), *texts[6 * k : 6 * k + 6])
+        for k, (i, _, _) in enumerate(entries)
+    ], depth=1)
+
+
 def save_search_result(res: SearchResult, path):
     """Write result_to_dict(res) as JSON, each candidate through a template."""
-    number = jsonfile.number
-
-    def candidates(entries):
-        return jsonfile.array(
-            [_CANDIDATE(number(i), number(s), *map(number, w)) for i, w, s in entries], depth=1
-        )
-
+    trace = res.trace
+    if all(t.keys() == {"index", "weights", "score"} for t in trace):
+        trace = _entries_text([(t["index"], t["weights"], t["score"]) for t in trace])
     jsonfile.write(path, {
         **result_to_dict(replace(res, ranked=[], trace=[])),
-        "ranked": candidates((i, w.as_array().tolist(), s) for i, w, s in res.ranked),
-        "trace": candidates((t["index"], t["weights"], t["score"]) for t in res.trace),
+        "ranked": _entries_text([(i, w.as_array().tolist(), s) for i, w, s in res.ranked]),
+        "trace": trace,
     })
 
 

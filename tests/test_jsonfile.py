@@ -116,6 +116,17 @@ def test_search_json_is_json_dumps(tmp_path, res):
     assert read(path) == reference(search_to_dict(res))
 
 
+@pytest.mark.parametrize("entry", [
+    {"index": 0, "weights": [1.0, 0.0, 0.0, 0.0], "score": 0.5},  # four weights
+    {"index": 0, "weights": [1, 0, 0, 0, 0], "score": 1},  # ints
+    {"index": 0, "weights": [1.0, 0.0, 0.0, 0.0, 0.0], "score": 0.5, "note": "x"},  # a key more
+], ids=["four-weights", "ints", "extra-key"])
+def test_search_json_of_other_trace_shapes_is_json_dumps(tmp_path, entry):
+    res = dataclasses.replace(hand_search([0.5], AWKWARD_WEIGHTS[:1]), trace=[entry])
+    save_search_result(res, tmp_path / "search.json")
+    assert read(tmp_path / "search.json") == reference(search_to_dict(res))
+
+
 def test_search_json_of_a_real_search_is_json_dumps(tmp_path):
     m = generate(crossing_scenario(1))
     res = random_search([(m.manifest, m.gt_all_frames)], SearchConfig(sample_count=30, seed=2))

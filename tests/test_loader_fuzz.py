@@ -308,3 +308,43 @@ def test_valid_proposals_are_made_at_once(scenes):
         at_once = manifest._frames_at_once(data["frames"], data["width"], data["height"])
         assert at_once is not None
         assert [len(f) for f in at_once] == [len(f) for f in data["frames"]]
+
+
+def edit_box(box):
+    """Named edits of a stored box; the first keeps the box's values but
+    not their types, which json.load keeps apart."""
+    x0, y0, x1, y1 = box
+    return {
+        "float coordinate": [float(x0), y0, x1, y1],
+        "bool coordinate": [x0, y0, x1, y1] if y0 > 1 else [x0, bool(y0), x1, y1],
+        "huge coordinate": [x0, y0, x1, 10**30],
+        "five numbers": [x0, y0, x1, y1, 0],
+        "shifted": [x0 + 1, y0, x1, y1],
+        "null": None,
+        "text": "box",
+    }
+
+
+@pytest.mark.parametrize("edit", list(edit_box([1, 2, 3, 4])))
+def test_box_edits_load_as_the_reference_loads_them(scenes, edit):
+    d, text = scenes["crossing"]
+    data = json.loads(text)
+    frame = data["frames"][3]
+    frame[1]["bbox"] = edit_box(frame[1]["bbox"])[edit]
+
+    def change(data_):
+        data_["frames"][3] = frame
+
+    check_against_reference(scenes, "crossing", [change])
+
+
+def test_a_box_of_floats_is_rejected(scenes):
+    d, text = scenes["crossing"]
+    data = json.loads(text)
+    frame = data["frames"][3]
+    frame[1]["bbox"] = [float(v) for v in frame[1]["bbox"]]
+
+    def change(data_):
+        data_["frames"][3] = frame
+
+    assert "expected 4 integers" in check_against_reference(scenes, "crossing", [change])[1]

@@ -513,17 +513,21 @@ def count_inside(points: Patch, zone: Patch) -> int:
 def crop(m: Mask) -> Patch | None:
     """``patch(m.dense())`` without the full frame: the mask cropped to its
     foreground's bounding box, None when it is empty. It is the tight patch
-    the mask was encoded from, if kept, else decoded from the foreground's
-    pixel indices at a cost that follows its area."""
+    the mask was encoded from, if kept. Else the columns of the box are
+    decoded from the runs that meet them, at a cost that follows the box's
+    width, not the frame's, and cropped to the rows that hold foreground."""
     if m._crop is not None:
         return m._crop
-    cols, rows = np.divmod(foreground(m), m.height)
-    if not cols.size:
+    b = m.bounds()
+    if len(b) < 2:  # one background run
         return None
-    y0, x0 = int(rows.min()), int(cols[0])
-    grid = np.zeros((int(rows.max()) + 1 - y0, int(cols[-1]) + 1 - x0), dtype=bool)
-    grid[rows - y0, cols - x0] = True
-    return Patch(y0, x0, grid)
+    h = m.height
+    # the first foreground pixel's column, and the last one's
+    x0, x1 = int(b[0]) // h, (int(b[len(b) // 2 * 2 - 1]) - 1) // h + 1
+    lengths = np.diff(np.clip(b, x0 * h, x1 * h), prepend=x0 * h)
+    columns = np.repeat(np.arange(len(b)) % 2 == 1, lengths).reshape(x1 - x0, h)
+    p = patch(columns.T)
+    return Patch(p.y0, x0 + p.x0, p.grid)
 
 
 def boundary(m: Mask) -> Mask:

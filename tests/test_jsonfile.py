@@ -9,7 +9,6 @@ import math
 import os
 from itertools import cycle
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -226,6 +225,6 @@ def test_selections_refuse_a_nan(tmp_path, crossing):
     ts = greedy_merge(crossing[0])
     frame = ts.report[1]["objects"]
     entry = next(v for v in frame.values() if v["combined"] is not None)
-    entry["combined"] = float(np.float64("nan"))
+    entry["combined"] = math.nan
     with pytest.raises(TrackmergeError, match="nan is not a JSON number"):
         save_trackset(ts, tmp_path)

@@ -354,19 +354,19 @@ _KEYS = frozenset({"rle", "objectness", "embedding"})  # what every proposal mus
 
 def _frames_at_once(frames, width, height) -> list | None:
     """The proposals of every frame, with the checks of _frame_from_json made
-    once for all of them, in array form: the masks and their run table from
-    one concatenation of all their runs (mask.masks_from_runs), and one
-    array each of the objectness values and the embeddings. None if any
-    check fails, so that _frame_from_json, frame by frame, finds and names
-    the first bad entry; also None when the embeddings' lengths differ,
-    which VideoManifest names, and when there are no proposals."""
+    once for all of them, in array form: the masks from one concatenation
+    of all their runs (mask.masks_from_runs), their boxes from one run
+    table, and one array each of the objectness values and the embeddings.
+    None if any check fails, so that _frame_from_json, frame by frame, finds
+    and names the first bad entry; also None when the embeddings' lengths
+    differ, which VideoManifest names, and when there are no proposals."""
     objs = list(chain.from_iterable(frames))
     if not all(type(obj) is dict and obj.keys() >= _KEYS for obj in objs):
         return None
-    parsed = masks_from_runs([obj["rle"] for obj in objs], width, height)
-    if parsed is None:
+    masks = masks_from_runs([obj["rle"] for obj in objs], width, height)
+    if masks is None:
         return None
-    masks, table = parsed
+    table = run_table(masks)
     if not table.areas.all():  # an empty mask has no bbox
         return None
     tight = table_boxes(table, height).T.tolist()

@@ -263,20 +263,16 @@ def run_table(masks) -> RunTable:
     starts = np.concatenate([b[0:-1:2] for b in bounds])
     ends = np.concatenate([b[1::2] for b in bounds])
     first = np.concatenate(([0], np.cumsum([len(b) // 2 for b in bounds])))
-    return RunTable(starts, ends, first, _areas(starts, ends, first))
-
-
-def _areas(starts, ends, first) -> np.ndarray:
-    """Each mask's area: the sum of its runs' lengths."""
+    # each mask's area: the sum of its runs' lengths
     cum = np.concatenate(([0], np.cumsum(ends - starts)))
-    return cum[first[1:]] - cum[first[:-1]]
+    return RunTable(starts, ends, first, cum[first[1:]] - cum[first[:-1]])
 
 
 def masks_from_runs(run_lists, width, height):
     """The (height, width) masks of RLE count lists, each a list of ints as
-    JSON gives it, and their RunTable. The lists are checked at C speed, a
-    pass over all the counts per check, and the masks get their bounds, and
-    the table its runs, from one cumsum of all the counts. None if any list
+    JSON gives it. The lists are checked at C speed, a pass over all the
+    counts per check, and the masks get their bounds from one cumsum of all
+    the counts. None if any list
     fails a check that Mask's constructor makes, so the caller can find the
     first bad one through it; also None for no lists, and for an image so
     large that the cumsum could overflow."""
@@ -306,18 +302,10 @@ def masks_from_runs(run_lists, width, height):
     ):  # a list that does not sum to size, or a 0 but a first count
         return None
     bounds.setflags(write=False)
-    masks = [
+    return [
         Mask._trusted(width, height, tuple(r), bounds[e - n : e])
         for r, n, e in zip(run_lists, lengths.tolist(), ends.tolist())
     ]
-    # without the odd last bound of a mask, which ends its last background
-    # run, the bounds alternate foreground starts and ends
-    fg = np.ones(len(bounds), dtype=bool)
-    fg[ends[lengths % 2 == 1] - 1] = False
-    pairs = bounds[fg]
-    first = np.concatenate(([0], np.cumsum(lengths // 2)))
-    starts, ends = pairs[0::2], pairs[1::2]
-    return masks, RunTable(starts, ends, first, _areas(starts, ends, first))
 
 
 def sub_table(table: RunTable, rows: np.ndarray) -> RunTable:

@@ -10,14 +10,14 @@ import re
 import numpy as np
 
 from .errors import TrackmergeError, shown
-from .mask import Mask, foreground
+from .mask import Mask
 
 
 class LabelMap:
     """Dense grid of object ids; 0 is background. Ids must fit in a byte
     because label maps serialize as maxval-255 PGM files."""
 
-    __slots__ = ("width", "height", "labels")
+    __slots__ = ("width", "height", "labels", "__weakref__")
 
     def __init__(self, width, height, labels):
         if width <= 0 or height <= 0:
@@ -30,11 +30,15 @@ class LabelMap:
         # a uint8 grid holds nothing else
         if arr.dtype != np.uint8 and (arr.min() < 0 or arr.max() > 255):
             raise TrackmergeError("labels must lie in [0, 255]")
-        arr = arr.astype(np.uint8, order="C")
-        arr.setflags(write=False)
-        object.__setattr__(self, "width", int(width))
-        object.__setattr__(self, "height", int(height))
-        object.__setattr__(self, "labels", arr)
+        _store(self, int(width), int(height), arr.astype(np.uint8, order="C"))
+
+    @classmethod
+    def _trusted(cls, width: int, height: int, labels: np.ndarray) -> "LabelMap":
+        """A label map of a C-ordered uint8 (height, width) grid, which it
+        makes read-only and nothing here checks or copies again."""
+        lm = object.__new__(cls)
+        _store(lm, width, height, labels)
+        return lm
 
     def __setattr__(self, name, value):
         raise AttributeError("LabelMap is immutable")
@@ -59,14 +63,73 @@ class LabelMap:
         return cls(width, height, np.zeros((height, width), np.uint8))
 
 
+def _store(lm: LabelMap, width, height, labels):
+    labels.setflags(write=False)
+    set_slot = object.__setattr__
+    set_slot(lm, "width", width)
+    set_slot(lm, "height", height)
+    set_slot(lm, "labels", labels)
+
+
+def paint_order(entries) -> list:
+    """(object_id, mask, priority) triples in the order paint() lays them
+    down from the top: by priority, highest first, ties to the lowest id."""
+    return sorted(entries, key=lambda e: (-e[2], e[0]))
+
+
+# a mask of at most this many runs (8 foreground runs) paints run by run:
+# below it, slice assignments cost less than expanding the runs
+_FEW_RUNS = 16
+
+# True, False, ...: which of a mask's runs from its first foreground run on
+# are foreground
+_ON = np.arange(1 << 12) % 2 == 0
+
+# a frame of fewer pixels is transposed whole: below it, one transpose
+# costs less than copying column strips one by one
+_STRIPS_FROM = 1 << 16
+
+
 def paint(width, height, entries) -> LabelMap:
     """entries: (object_id, mask, priority) triples. Overlapping pixels go to
-    the highest priority, ties to the lowest object_id."""
-    order = sorted(entries, key=lambda e: (-e[2], e[0]))
-    flat = np.zeros(width * height, dtype=np.uint8)  # column-major, as masks are
-    for object_id, m, _ in reversed(order):
-        flat[foreground(m)] = object_id
-    return LabelMap(width, height, flat.reshape((height, width), order="F"))
+    the highest priority, ties to the lowest object_id.
+
+    Masks paint a column-major buffer, as they are stored. In a frame of
+    _STRIPS_FROM pixels or more, only the column strips that hold painted
+    pixels are then copied into the row-major grid, which is background
+    elsewhere; a smaller frame is transposed whole."""
+    size = width * height
+    flat = np.zeros(size, dtype=np.uint8)
+    # per painted mask: the columns from its first to its last pixel
+    strips = [] if size >= _STRIPS_FROM else None
+    for object_id, m, _ in reversed(paint_order(entries)):
+        runs = m.runs  # background first, then foreground, alternating
+        n = len(runs)
+        if n < 2:  # empty
+            continue
+        if n > _FEW_RUNS:
+            # the runs from the first foreground run to the last one, expanded
+            last = n - 1 if n % 2 == 0 else n - 2
+            bounds = m.bounds()[: last + 1]
+            on = _ON[:last] if last <= _ON.size else np.arange(last) % 2 == 0
+            np.copyto(flat[bounds[0] : bounds[-1]], object_id,
+                      where=np.repeat(on, np.diff(bounds)))
+        else:
+            bounds = m.bounds().tolist()
+            for start, end in zip(bounds[0::2], bounds[1::2]):
+                flat[start:end] = object_id
+        if strips is not None:
+            stop = size - runs[-1] if n % 2 else size  # its last pixel's end
+            strips.append((runs[0] // height, (stop - 1) // height + 1))
+    if strips is None:
+        labels = flat.reshape((height, width), order="F").astype(np.uint8, order="C")
+    else:
+        labels = np.zeros((height, width), dtype=np.uint8)
+        # row x of both is column x of the grid
+        rows, columns = labels.T, flat.reshape((width, height))
+        for x0, x1 in strips:  # overlapping strips copy the same final values
+            rows[x0:x1] = columns[x0:x1]
+    return LabelMap._trusted(int(width), int(height), labels)
 
 
 def write_pgm(lm: LabelMap, path):
@@ -115,7 +178,8 @@ def write_frames(maps, directory):
 def read_frames(directory) -> list:
     """The label maps of ``directory``'s .pgm files, in file-name order; they
     must all have the same size."""
-    files = sorted(glob.glob(os.path.join(directory, "*.pgm")))
+    # the directory's name is not a pattern: it may hold [, ], * or ?
+    files = [os.path.join(directory, f) for f in sorted(glob.glob("*.pgm", root_dir=directory))]
     if not files:
         raise TrackmergeError(f"no .pgm files in {directory}")
     maps = [read_pgm(f) for f in files]

@@ -9,11 +9,13 @@ import os
 from dataclasses import dataclass, field, replace
 from functools import partial
 from itertools import chain, islice, repeat, starmap
+from weakref import WeakValueDictionary
 
 import numpy as np
 
 from .errors import ManifestError, TrackmergeError, shown
 from .flow import FlowField, load_flo, source_pairs
+from .labelmap import LabelMap, paint, paint_order
 from .mask import (
     BBox,
     Mask,
@@ -93,7 +95,12 @@ class FrameMemo:
     ``maskprop`` maps each state's selection row at t-1 (one proposal index
     per track, -1: none) to its read-only (n, J) maskprop IoUs, and
     ``overlap`` each pair of proposals asked about to whether they share a
-    pixel."""
+    pixel.
+
+    A memo that its manifest keeps also has ``painted``, a table of the
+    label maps its frame has painted (see paint), held weakly: a map stays
+    in it only while some caller, such as a TrackSet, holds the map. A memo
+    that is not kept has None there and shares nothing."""
 
     masks: tuple
     previous: tuple
@@ -102,6 +109,7 @@ class FrameMemo:
     table: RunTable
     maskprop: dict = field(default_factory=dict)
     overlap: dict = field(default_factory=dict)
+    painted: WeakValueDictionary | None = None
 
     def overlaps(self, a, b) -> bool:
         """Whether the frame's proposals a and b share a pixel."""
@@ -109,6 +117,20 @@ class FrameMemo:
         if hit is None:
             hit = self.overlap[a, b] = intersection_area(self.masks[a], self.masks[b]) > 0
         return hit
+
+    def paint(self, width, height, picked, entries) -> LabelMap:
+        """labelmap.paint(width, height, entries), whose entries paint the
+        frame's proposals ``picked``, one index per track in track order. A
+        label map depends on nothing but those proposals and the order in
+        which paint() lays the tracks down, so that pair is the key under
+        which ``painted`` shares the map."""
+        if self.painted is None:
+            return paint(width, height, entries)
+        key = tuple(picked), tuple(j for j, _, _ in paint_order(entries))
+        label_map = self.painted.get(key)
+        if label_map is None:
+            label_map = self.painted[key] = paint(width, height, entries)
+        return label_map
 
 
 @dataclass(frozen=True)
@@ -216,9 +238,10 @@ class VideoManifest:
     def frame_memo(self, t: int) -> FrameMemo:
         """The FrameMemo of frame t, which must have proposals.
 
-        With preloaded flows it is kept, so every merge of this manifest
-        shares it. With flows read from disk nothing is kept: each call
-        reads and sweeps the flow again."""
+        With preloaded flows it is kept, with a table of painted label
+        maps, so every merge of this manifest shares it. With flows read
+        from disk nothing is kept: each call reads and sweeps the flow
+        again."""
         memo = self._memo.get(t)
         if memo is None:
             dest, src = source_pairs(self.flow(t))
@@ -227,8 +250,10 @@ class VideoManifest:
             masks = tuple(p.mask for p in self.proposals[t])
             previous = (tuple(g.first_frame_mask for g in self.ground_truth) if t == 1
                         else tuple(p.mask for p in self.proposals[t - 1]))
-            memo = FrameMemo(masks, previous, dest, src, run_table(masks))
-            if self.preloaded_flows is not None:
+            kept = self.preloaded_flows is not None
+            memo = FrameMemo(masks, previous, dest, src, run_table(masks),
+                             painted=WeakValueDictionary() if kept else None)
+            if kept:
                 self._memo[t] = memo
         return memo
 

@@ -18,11 +18,15 @@ table, each state's maskprop IoUs, keyed by its selection row at t-1, and
 whether two proposals overlap. A manifest with preloaded flows keeps it, so
 repeated merges of one in-memory manifest (the top-k merges, or merges after
 a search of it) compute these once per state, and each later walk computes
-only the states no earlier walk reached. A manifest cannot change, so an
-entry never goes stale; a manifest derived with dataclasses.replace starts
-with an empty memo. The sub-scores, combine(), the argmax and paint() run on
-every walk, so every output is as without the memo. A manifest that reads
-its flows from disk keeps nothing.
+only the states no earlier walk reached. A kept memo also shares painted
+label maps (FrameMemo.paint), keyed by each track's selected proposal and
+the tracks' paint order, all a label map depends on. It holds them weakly:
+the top-k TrackSets share their maps, and the maps a search scores and
+drops are not kept. A manifest cannot change, so an entry never goes stale; a
+manifest derived with dataclasses.replace starts with an empty memo. The
+sub-scores, combine() and the argmax run on every walk, so every output is
+as without the memo. A manifest that reads its flows from disk keeps
+nothing and paints every label map.
 """
 
 from __future__ import annotations
@@ -189,12 +193,13 @@ def merge_walk(manifest: VideoManifest, weights):
                 choices = [(np.full(len(ids), -1), [(np.arange(len(group)), None)])]
             paints = []
             for k, variants in choices:
+                picked = k.tolist()
                 for rows, comb in variants:
-                    entries = [] if comb is None else [
+                    label_map = paint(w, h, []) if comb is None else memo.paint(w, h, picked, [
                         (j, memo.masks[kj], float(comb[kj, jj]))
-                        for jj, (j, kj) in enumerate(zip(ids, k))
-                    ]
-                    paints.append((group[rows], k, sub, comb, paint(w, h, entries)))
+                        for jj, (j, kj) in enumerate(zip(ids, picked))
+                    ])
+                    paints.append((group[rows], k, sub, comb, label_map))
                     selected[group[rows]] = k
             yield t, paints
 

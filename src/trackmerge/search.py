@@ -17,6 +17,7 @@ import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from itertools import repeat
+from operator import attrgetter, is_
 
 import numpy as np
 
@@ -25,7 +26,7 @@ from .errors import TrackmergeError
 from .jsonfile import SLOT
 from .merging import group_rows, merge_walk
 from .metrics import full_video_gt, summarize
-from .scoring import WeightVector
+from .scoring import COMPONENTS, WeightVector
 
 OBJECTIVES = ("jf_mean", "j_mean", "f_mean")
 
@@ -160,31 +161,60 @@ def result_to_dict(res: SearchResult) -> dict:
     }
 
 
+# a WeightVector's weights in as_array()'s order
+_weights = attrgetter(*COMPONENTS)
+
 # a ranked or trace entry of result_to_dict, laid out as an item of its list
 _CANDIDATE = jsonfile.template({"index": SLOT, "score": SLOT, "weights": [SLOT] * 5}, depth=2)
 
 
-def _entries_text(entries) -> jsonfile.Text:
-    """The list of ranked or trace entries, (index, weights, score) each,
-    through _CANDIDATE when every entry has a list of five weights."""
+def _candidate_texts(entries):
+    """The ranked or trace entries, (index, weights, score) each, laid out
+    by _CANDIDATE; None unless every entry has a list of five weights."""
     if not all(type(w) is list and len(w) == 5 for _, w, _ in entries):
-        return jsonfile.Text(jsonfile.dumps(
-            [{"index": i, "weights": w, "score": s} for i, w, s in entries], depth=1))
+        return None
     texts = jsonfile.numbers([x for _, w, s in entries for x in (s, *w)])
-    return jsonfile.array([
+    return [
         _CANDIDATE(jsonfile.number(i), *texts[6 * k : 6 * k + 6])
         for k, (i, _, _) in enumerate(entries)
-    ], depth=1)
+    ]
+
+
+def _reused(ranked, trace, texts):
+    """The texts of the ranked entries, each that of the trace entry of its
+    candidate index; None unless each ranked entry holds its trace entry's
+    very number objects, as random_search's results do, so that equal
+    numbers with other texts (0.0 and -0.0, 0 and 0.0) never share one."""
+    at = {i: k for k, (i, _, _) in enumerate(trace)}
+    order = [at.get(i) for i, _, _ in ranked]
+    if len(at) != len(trace) or None in order:
+        return None
+    for (_, w, s), k in zip(ranked, order):
+        _, tw, ts = trace[k]
+        if s is not ts or not all(map(is_, w, tw)):
+            return None
+    return [texts[k] for k in order]
 
 
 def save_search_result(res: SearchResult, path):
-    """Write result_to_dict(res) as JSON, each candidate through a template."""
-    trace = res.trace
+    """Write result_to_dict(res) as JSON, each candidate through a template.
+    A ranked candidate of random_search holds the numbers of its trace
+    entry, so its text is formatted once, for the trace, and reused."""
+    # each weight as as_array().tolist() gives it, without an array per
+    # candidate; float() of a float is that float itself
+    ranked = [(i, list(map(float, _weights(w))), s) for i, w, s in res.ranked]
+    trace, ranked_texts = res.trace, None
     if all(t.keys() == {"index", "weights", "score"} for t in trace):
-        trace = _entries_text([(t["index"], t["weights"], t["score"]) for t in trace])
+        entries = [(t["index"], t["weights"], t["score"]) for t in trace]
+        texts = _candidate_texts(entries)
+        if texts is not None:
+            ranked_texts = _reused(ranked, entries, texts)
+            trace = jsonfile.array(texts, depth=1)
+    if ranked_texts is None:
+        ranked_texts = _candidate_texts(ranked)
     jsonfile.write(path, {
         **result_to_dict(replace(res, ranked=[], trace=[])),
-        "ranked": _entries_text([(i, w.as_array().tolist(), s) for i, w, s in res.ranked]),
+        "ranked": jsonfile.array(ranked_texts, depth=1),
         "trace": trace,
     })
 

@@ -748,6 +748,37 @@ class TestReusedOutputDirectory:
         assert keep.read_text() == "mine"
 
 
+class TestGlobCharactersInVideoId:
+    """A video directory is named by its video_id, which may hold the
+    pattern characters [, ], * and ?. Its frames read back all the same,
+    and no other directory's frames with them: "clip*" is merged next to
+    "clip_b", which the pattern would match."""
+
+    @pytest.mark.parametrize(
+        "video_ids", [("clip[1]",), ("clip*", "clip_b"), ("a?", "ab")],
+        ids=["brackets", "star", "question_mark"],
+    )
+    def test_merge_eval_ensemble(self, tmp_path, video_ids):
+        data = tmp_path / "data"
+        assert run("synth", "--out", str(data), "--preset", "single", "--seed", "1") == 0
+        manifest = json.loads((data / "manifest.json").read_text())
+        manifests = []
+        for k, video_id in enumerate(video_ids):
+            manifests.append(str(data / f"renamed_{k}.json"))
+            (data / f"renamed_{k}.json").write_text(json.dumps({**manifest, "video_id": video_id}))
+        out, voted = tmp_path / "out", tmp_path / "voted"
+        assert run("merge", "--manifest", *manifests, "--out", str(out)) == 0
+        assert run("ensemble", "--inputs", str(out), str(out), "--out", str(voted)) == 0
+        for video_id in video_ids:
+            report = tmp_path / "report.json"
+            assert run("eval", "--pred", str(out / video_id), "--gt", str(data / "gt"),
+                       "--out", str(report)) == 0
+            assert json.loads(report.read_text())["J&F"]["mean"] == 1.0
+            written = tree_bytes(out / video_id)
+            del written["selections.json"]
+            assert tree_bytes(voted / video_id) == written
+
+
 class TestLoadGtDir:
     """load_gt_dir encodes each object from its crop of the stacked frames;
     its masks are LabelMap.object_mask's, and the crops they keep are

@@ -298,3 +298,93 @@ class TestMemo:
         copy = pickle.loads(pickle.dumps(manifest))
         assert copy._memo == {}
         assert greedy_merge(copy) == greedy_merge(manifest)
+
+
+@pytest.fixture
+def painted(monkeypatch):
+    """One entry per label map a frame memo paints (FrameMemo.paint calling
+    labelmap.paint): its entries."""
+    calls = []
+    real = manifest_module.paint
+
+    def spy(width, height, entries):
+        calls.append(entries)
+        return real(width, height, entries)
+
+    monkeypatch.setattr(manifest_module, "paint", spy)
+    return calls
+
+
+def held_maps(manifest):
+    """How many label maps the manifest's frame memos hold."""
+    return sum(len(memo.painted) for memo in manifest._memo.values())
+
+
+def with_proposals(manifest):
+    return sum(1 for frame in manifest.proposals[1:] if frame)
+
+
+class TestPaintMemo:
+    """A kept frame memo shares painted label maps between merges and holds
+    each only while some caller does; a memo that is not kept paints every
+    map."""
+
+    def test_davis_scene_merges_paint_each_map_once(self, painted):
+        """The benchmark's three merges of one manifest paint 19, 1 and 4
+        label maps, not 19 each; a fresh copy paints its own."""
+        manifest = davis_scene_seed_1()
+        weights = (
+            WeightVector.equal(),
+            WeightVector(0.1, 0.2, 0.5, 0.1, 0.1),
+            WeightVector(0.3, 0.3, 0.2, 0.1, 0.1),
+        )
+        merged = []
+        for w, total in zip(weights, (19, 20, 24)):
+            merged.append(greedy_merge(manifest, w))
+            assert len(painted) == total
+        assert [
+            sum(a is b for a, b in zip(merged[0].label_maps, ts.label_maps)) for ts in merged[1:]
+        ] == [18, 14]
+        assert merged[1] == greedy_merge(replace(manifest), weights[1])
+        assert len(painted) == 24 + 19
+
+    def test_disk_flows_paint_every_map(self, painted, tmp_path):
+        result = generate(crossing_scenario(0))
+        save_scenario(result, tmp_path)
+        manifest = without_frame(load_manifest(tmp_path / "manifest.json"))
+        merged = [greedy_merge(manifest, w) for w in WEIGHTS]
+        assert len(painted) == len(merged) * with_proposals(manifest)
+        assert manifest._memo == {}
+
+    def test_maps_held_while_a_caller_holds_them(self, scene):
+        manifest, _ = scene
+        merged = [greedy_merge(manifest, w) for w in WEIGHTS]
+        assert held_maps(manifest) >= with_proposals(manifest)
+        last = merged.pop()
+        del merged
+        assert held_maps(manifest) == with_proposals(manifest)  # last's own maps
+        del last
+        assert held_maps(manifest) == 0
+
+    def test_search_keeps_no_map(self, scene):
+        manifest, gt = scene
+        random_search([(manifest, gt)], SearchConfig(sample_count=50, seed=3))
+        assert manifest._memo and held_maps(manifest) == 0
+
+    def test_one_row_walk_asks_no_overlap(self, monkeypatch, tmp_path):
+        """greedy_merge paints its one row in score order: it never asks
+        whether two proposals overlap, whether its memo is kept or not."""
+        asked = []
+        real = manifest_module.intersection_area
+
+        def spy(a, b):
+            asked.append((a, b))
+            return real(a, b)
+
+        monkeypatch.setattr(manifest_module, "intersection_area", spy)
+        result = generate(crossing_scenario(0))
+        save_scenario(result, tmp_path)
+        for manifest in (result.manifest, load_manifest(tmp_path / "manifest.json")):
+            for w in WEIGHTS:
+                greedy_merge(filter_manifest(manifest), w)
+        assert asked == []

@@ -108,7 +108,8 @@ AWKWARD_WEIGHTS = [
     hand_search([1 / 3, -0.0, 1.0], AWKWARD_WEIGHTS, top_k=0),
     hand_search([0.5], AWKWARD_WEIGHTS[:1]),  # one candidate
     hand_search([0.5, 1e16], AWKWARD_WEIGHTS[1:], trace=False),  # no trace
-], ids=["awkward", "no-top-k", "one-candidate", "no-trace"])
+    hand_search([0.5], [(1, 0, 0, 0, 0)]),  # ints, which ranked writes as floats
+], ids=["awkward", "no-top-k", "one-candidate", "no-trace", "int-weights"])
 def test_search_json_is_json_dumps(tmp_path, res):
     path = tmp_path / "search.json"
     save_search_result(res, path)
@@ -130,6 +131,51 @@ def test_search_json_of_a_real_search_is_json_dumps(tmp_path):
     m = generate(crossing_scenario(1))
     res = random_search([(m.manifest, m.gt_all_frames)], SearchConfig(sample_count=30, seed=2))
     save_search_result(res, tmp_path / "search.json")
+    assert read(tmp_path / "search.json") == reference(search_to_dict(res))
+
+
+def edit_trace(res, k, **fields):
+    """res with fields of trace entry k replaced."""
+    trace = [dict(t) for t in res.trace]
+    trace[k].update(fields)
+    return dataclasses.replace(res, trace=trace)
+
+
+AGREEING = hand_search([0.0, 1 / 3, 0.5], AWKWARD_WEIGHTS)
+
+
+@pytest.mark.parametrize("res", [
+    edit_trace(AGREEING, 0, score=-0.0),
+    edit_trace(AGREEING, 0, score=0),
+    edit_trace(AGREEING, 1, weights=[1, 0.0, 0.0, 0.0, 0.0]),
+    edit_trace(AGREEING, 2, weights=[0.2, 0.2, 0.2, 0.2, 0.2000000000000001]),
+    edit_trace(AGREEING, 2, index=7),
+    edit_trace(AGREEING, 2, index=0),
+    dataclasses.replace(AGREEING, trace=AGREEING.trace[::-1]),
+    dataclasses.replace(AGREEING, trace=AGREEING.trace[1:]),
+], ids=["minus-zero-score", "int-score", "int-weight", "other-weight", "unknown-index",
+        "repeated-index", "reversed", "fewer"])
+def test_ranked_reuses_trace_text_only_where_it_is_the_same(tmp_path, res):
+    """A ranked candidate's text is its trace entry's only where the two
+    hold the same numbers: equal values such as 0.0 and -0.0, or 0 and 0.0,
+    are written as json writes each."""
+    save_search_result(res, tmp_path / "search.json")
+    assert read(tmp_path / "search.json") == reference(search_to_dict(res))
+
+
+def test_each_candidate_formatted_once(tmp_path, monkeypatch):
+    m = generate(crossing_scenario(1))
+    res = random_search([(m.manifest, m.gt_all_frames)], SearchConfig(sample_count=30, seed=2))
+    formatted = []
+    real = jsonfile.numbers
+
+    def spy(values):
+        formatted.append(len(values))
+        return real(values)
+
+    monkeypatch.setattr(jsonfile, "numbers", spy)
+    save_search_result(res, tmp_path / "search.json")
+    assert formatted == [30 * 6]
     assert read(tmp_path / "search.json") == reference(search_to_dict(res))
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from trackmerge.errors import TrackmergeError
+from trackmerge import labelmap
 from trackmerge.labelmap import LabelMap, paint, read_frames, read_pgm, write_frames, write_pgm
 from trackmerge.mask import Mask
 
@@ -67,6 +68,48 @@ class TestPaint:
 
     def test_no_entries_is_background(self):
         assert paint(6, 2, []) == LabelMap.background(6, 2)
+
+    @pytest.mark.parametrize("strips_from, on", [
+        (1, labelmap._ON), (1 << 62, labelmap._ON), (1, labelmap._ON[:6]),
+    ], ids=["strips", "whole", "strips-short-on"])
+    @pytest.mark.parametrize("size", [(1, 1), (1, 9), (9, 1), (40, 26), (31, 17)])
+    def test_equals_painting_dense_grids(self, monkeypatch, size, strips_from, on):
+        """Each mask painted as a full grid, lowest priority first. The
+        masks include empty and full ones, single pixels in the corners and
+        boxes that share columns, so column strips meet and overlap. Each
+        frame is copied by strips, and by one transpose; a mask of many runs
+        is expanded with the cached run pattern, and with one built for it."""
+        monkeypatch.setattr(labelmap, "_STRIPS_FROM", strips_from)
+        monkeypatch.setattr(labelmap, "_ON", on)
+        width, height = size
+        rng = np.random.default_rng(width * 100 + height)
+        for _ in range(30):
+            grids = []
+            for _ in range(rng.integers(0, 6)):
+                kind = rng.integers(4)
+                grid = np.zeros((height, width), bool)
+                if kind == 0:
+                    y0, y1 = sorted(rng.integers(0, height + 1, 2))
+                    x0, x1 = sorted(rng.integers(0, width + 1, 2))
+                    grid[y0:y1, x0:x1] = True
+                elif kind == 1:
+                    grid = rng.random((height, width)) < 0.2
+                elif kind == 2:
+                    grid[rng.choice([0, height - 1]), rng.choice([0, width - 1])] = True
+                else:
+                    grid[:] = rng.random() < 0.5  # full or empty
+                grids.append(grid)
+            entries = [
+                (int(j), Mask.from_dense(g), float(rng.integers(3)))
+                for j, g in zip(rng.permutation(np.arange(1, 256))[: len(grids)], grids)
+            ]
+            want = np.zeros((height, width), np.uint8)
+            for j, _, _ in sorted(entries, key=lambda e: (e[2], -e[0])):
+                want[grids[[e[0] for e in entries].index(j)]] = j
+            lm = paint(width, height, entries)
+            assert lm == LabelMap(width, height, want)
+            assert lm.labels.dtype == np.uint8 and lm.labels.flags.c_contiguous
+            assert not lm.labels.flags.writeable
 
 
 class TestFrameDirectory:

@@ -311,6 +311,40 @@ class TestSharing:
         assert set(result_to_dict(res)) == {"best", "ranked", "top_k", "trace"}
 
 
+class TestSharedLabelMaps:
+    """Merges of one manifest share painted label maps through its frame
+    memo; each equals the same merge of a fresh copy, report included."""
+
+    @pytest.mark.parametrize("name", ["tie", "near_tie", "order", "empty_frame"])
+    def test_shared_merges_equal_fresh_ones(self, name):
+        [(manifest, gt)] = CORPORA[name][0]()
+        res = random_search([(manifest, gt)], SearchConfig(sample_count=50, seed=3, top_k=3))
+        weights = [*candidates(SearchConfig(sample_count=20, seed=3, top_k=1)), *res.top_k_weights]
+        shared = [greedy_merge(manifest, w) for w in weights]
+        maps = {id(lm) for ts in shared for lm in ts.label_maps[1:]}
+        assert len(maps) < len(shared) * (manifest.frame_count - 1)  # some are shared
+        for w, ts in zip(weights, shared):
+            fresh = greedy_merge(replace(manifest), w)
+            assert ts == fresh and ts.report == fresh.report
+
+    def test_same_proposals_in_two_paint_orders(self):
+        """Inverse mask propagation alone puts track 1 on top of the pixels
+        the two selections share; a quarter of the weight moved to
+        objectness puts track 2 there. The same proposals give two label
+        maps."""
+        manifest, _ = order_instance()
+        top = {}
+        for j, w in ((1, WeightVector(0, 0, 0, 0, 1)), (2, WeightVector(0.25, 0, 0, 0, 0.75))):
+            ts = greedy_merge(manifest, w)
+            assert ts.selections == {1: [None, 0], 2: [None, 1]}
+            fresh = greedy_merge(replace(manifest), w)
+            assert ts == fresh and ts.report == fresh.report
+            top[j] = ts.label_maps[1].labels
+        # the selections share columns 6-8 of rows 2-7
+        assert (top[1][2:8, 6:9] == 1).all() and (top[2][2:8, 6:9] == 2).all()
+        assert (top[1] != top[2]).sum() == 6 * 3
+
+
 class TestSameErrors:
     """The search and oracle_merge raise TrackmergeError wherever scoring each
     candidate on its own does."""

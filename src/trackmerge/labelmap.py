@@ -77,31 +77,33 @@ def paint_order(entries) -> list:
     return sorted(entries, key=lambda e: (-e[2], e[0]))
 
 
-# a mask of at most this many runs (8 foreground runs) paints run by run:
-# below it, slice assignments cost less than expanding the runs
-_FEW_RUNS = 16
+# a mask of at most this many runs (16 foreground runs) paints run by run,
+# one of more by one np.copyto of its expanded runs: the two cost the same
+# at about 30 runs
+_FEW_RUNS = 32
 
-# True, False, ...: which of a mask's runs from its first foreground run on
-# are foreground
-_ON = np.arange(1 << 12) % 2 == 0
+# True, False, True, ...: which of a mask's runs, from its first foreground
+# run on, are foreground; grown to the longest such span painted so far
+_alternate = np.zeros(0, dtype=bool)
 
-# a frame of fewer pixels is transposed whole: below it, one transpose
-# costs less than copying column strips one by one
-_STRIPS_FROM = 1 << 16
+
+def _foreground_runs(n) -> np.ndarray:
+    global _alternate
+    if _alternate.size < n:
+        _alternate = np.arange(2 * n) % 2 == 0
+    return _alternate[:n]
 
 
 def paint(width, height, entries) -> LabelMap:
     """entries: (object_id, mask, priority) triples. Overlapping pixels go to
     the highest priority, ties to the lowest object_id.
 
-    Masks paint a column-major buffer, as they are stored. In a frame of
-    _STRIPS_FROM pixels or more, only the column strips that hold painted
-    pixels are then copied into the row-major grid, which is background
-    elsewhere; a smaller frame is transposed whole."""
+    Masks paint a column-major buffer, as they are stored. Only the column
+    strips that hold painted pixels are then copied into the row-major
+    grid, which is background elsewhere."""
     size = width * height
     flat = np.zeros(size, dtype=np.uint8)
-    # per painted mask: the columns from its first to its last pixel
-    strips = [] if size >= _STRIPS_FROM else None
+    strips = []  # per painted mask: the columns from its first to its last pixel
     for object_id, m, _ in reversed(paint_order(entries)):
         runs = m.runs  # background first, then foreground, alternating
         n = len(runs)
@@ -111,24 +113,19 @@ def paint(width, height, entries) -> LabelMap:
             # the runs from the first foreground run to the last one, expanded
             last = n - 1 if n % 2 == 0 else n - 2
             bounds = m.bounds()[: last + 1]
-            on = _ON[:last] if last <= _ON.size else np.arange(last) % 2 == 0
             np.copyto(flat[bounds[0] : bounds[-1]], object_id,
-                      where=np.repeat(on, np.diff(bounds)))
+                      where=np.repeat(_foreground_runs(last), np.diff(bounds)))
         else:
             bounds = m.bounds().tolist()
             for start, end in zip(bounds[0::2], bounds[1::2]):
                 flat[start:end] = object_id
-        if strips is not None:
-            stop = size - runs[-1] if n % 2 else size  # its last pixel's end
-            strips.append((runs[0] // height, (stop - 1) // height + 1))
-    if strips is None:
-        labels = flat.reshape((height, width), order="F").astype(np.uint8, order="C")
-    else:
-        labels = np.zeros((height, width), dtype=np.uint8)
-        # row x of both is column x of the grid
-        rows, columns = labels.T, flat.reshape((width, height))
-        for x0, x1 in strips:  # overlapping strips copy the same final values
-            rows[x0:x1] = columns[x0:x1]
+        stop = size - runs[-1] if n % 2 else size  # its last pixel's end
+        strips.append((runs[0] // height, (stop - 1) // height + 1))
+    labels = np.zeros((height, width), dtype=np.uint8)
+    # row x of both is column x of the grid
+    rows, columns = labels.T, flat.reshape((width, height))
+    for x0, x1 in strips:  # overlapping strips copy the same final values
+        rows[x0:x1] = columns[x0:x1]
     return LabelMap._trusted(int(width), int(height), labels)
 
 

@@ -69,18 +69,16 @@ class TestPaint:
     def test_no_entries_is_background(self):
         assert paint(6, 2, []) == LabelMap.background(6, 2)
 
-    @pytest.mark.parametrize("strips_from, on", [
-        (1, labelmap._ON), (1 << 62, labelmap._ON), (1, labelmap._ON[:6]),
-    ], ids=["strips", "whole", "strips-short-on"])
+    @pytest.mark.parametrize("few_runs", [0, 1 << 62], ids=["copyto", "slices"])
     @pytest.mark.parametrize("size", [(1, 1), (1, 9), (9, 1), (40, 26), (31, 17)])
-    def test_equals_painting_dense_grids(self, monkeypatch, size, strips_from, on):
+    def test_equals_painting_dense_grids(self, monkeypatch, size, few_runs):
         """Each mask painted as a full grid, lowest priority first. The
         masks include empty and full ones, single pixels in the corners and
-        boxes that share columns, so column strips meet and overlap. Each
-        frame is copied by strips, and by one transpose; a mask of many runs
-        is expanded with the cached run pattern, and with one built for it."""
-        monkeypatch.setattr(labelmap, "_STRIPS_FROM", strips_from)
-        monkeypatch.setattr(labelmap, "_ON", on)
+        boxes that share columns, so column strips meet and overlap. Every
+        mask is painted by one copyto of its expanded runs, and run by run;
+        the run pattern starts empty, so it is grown as masks need it."""
+        monkeypatch.setattr(labelmap, "_FEW_RUNS", few_runs)
+        monkeypatch.setattr(labelmap, "_alternate", np.zeros(0, dtype=bool))
         width, height = size
         rng = np.random.default_rng(width * 100 + height)
         for _ in range(30):

@@ -77,10 +77,10 @@ def paint_order(entries) -> list:
     return sorted(entries, key=lambda e: (-e[2], e[0]))
 
 
-# a mask of at most this many runs (16 foreground runs) paints run by run,
+# a mask of at most this many runs (10 foreground runs) paints run by run,
 # one of more by one np.copyto of its expanded runs: the two cost the same
-# at about 30 runs
-_FEW_RUNS = 32
+# at about 20 runs
+_FEW_RUNS = 20
 
 # True, False, True, ...: which of a mask's runs, from its first foreground
 # run on, are foreground; grown to the longest such span painted so far
@@ -114,7 +114,7 @@ def paint(width, height, entries) -> LabelMap:
             last = n - 1 if n % 2 == 0 else n - 2
             bounds = m.bounds()[: last + 1]
             np.copyto(flat[bounds[0] : bounds[-1]], object_id,
-                      where=np.repeat(_foreground_runs(last), np.diff(bounds)))
+                      where=np.repeat(_foreground_runs(last), bounds[1:] - bounds[:-1]))
         else:
             bounds = m.bounds().tolist()
             for start, end in zip(bounds[0::2], bounds[1::2]):

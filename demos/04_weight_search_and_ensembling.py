@@ -30,7 +30,7 @@ cfg = SearchConfig(sample_count=100, seed=0, top_k=5)
 res = random_search(corpus, cfg, jobs=2)
 print("best mean J&F over corpus:", round(res.best_score, 4))
 print("best weights:", res.best_weights)
-equal_score = next(s for i, _, s in res.ranked if i == 0)
+equal_score = res.scores[0]  # candidate 0 is equal weights
 print("equal-weights baseline:", round(equal_score, 4))
 # On this small synthetic corpus the balanced baseline is already optimal, so
 # the search reports it back unchanged; on harder data the top of the ranking

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -65,11 +66,17 @@ def _jobs(args) -> int:
     return jobs
 
 
-def _seed(args) -> int:
-    """--seed; numpy's generators take no negative seed."""
-    if args.seed < 0:
-        raise UsageError(f"--seed must be non-negative, got {args.seed}")
-    return args.seed
+def _in_range(args, flag, lo, hi=math.inf):
+    """The value of --flag; a usage error unless lo <= value <= hi, as NaN is not."""
+    value = getattr(args, flag.replace("-", "_"))
+    if not lo <= value <= hi:
+        bounds = f"at least {lo}" if hi == math.inf else f"in [{lo}, {hi}]"
+        raise UsageError(f"--{flag} must be {bounds}, got {value}")
+    return value
+
+
+def _filter_flags(args) -> tuple:
+    return _in_range(args, "score-min", 0, 1), _in_range(args, "nms-iou", 0, 1)
 
 
 def parse_weights(text: str) -> WeightVector:
@@ -140,7 +147,7 @@ def load_gt_dir(path):
 
 
 def cmd_synth(args):
-    frames, preset, seed = args.frames, args.preset, _seed(args)
+    frames, preset, seed = args.frames, args.preset, _in_range(args, "seed", 0)
     if frames is not None and preset == "crossing":
         raise UsageError("--frames does not apply to --preset crossing (10 frames)")
     least = 2 if preset == "random" else 1
@@ -156,8 +163,9 @@ def cmd_synth(args):
 
 
 def cmd_filter(args):
+    score_min, nms_iou = _filter_flags(args)
     m = load_manifest(args.manifest)
-    save_manifest(filter_manifest(m, args.score_min, args.nms_iou), args.out)
+    save_manifest(filter_manifest(m, score_min, nms_iou), args.out)
 
 
 def _resolve_weights(args) -> WeightVector:
@@ -196,6 +204,8 @@ def cmd_oracle(args):
 
 
 def cmd_eval(args):
+    if args.tolerance is not None:
+        _in_range(args, "tolerance", 0)
     pred = read_frames(args.pred)
     gt = load_gt_dir(args.gt)
     res = evaluate(pred, gt, tolerance=args.tolerance, exclude_last=args.exclude_last)
@@ -203,18 +213,16 @@ def cmd_eval(args):
 
 
 def cmd_search(args):
-    jobs, seed = _jobs(args), _seed(args)
+    jobs, seed = _jobs(args), _in_range(args, "seed", 0)
+    samples = _in_range(args, "samples", 1)
+    top_k = _in_range(args, "top-k", 1, samples)
+    score_min, nms_iou = _filter_flags(args)
+    cfg = SearchConfig(sample_count=samples, seed=seed, top_k=top_k, objective=args.objective)
     videos = []
     for d in args.data:
         m = load_manifest(os.path.join(d, "manifest.json"))
-        m = filter_manifest(m, args.score_min, args.nms_iou)
+        m = filter_manifest(m, score_min, nms_iou)
         videos.append((m, load_gt_dir(os.path.join(d, "gt"))))
-    cfg = SearchConfig(
-        sample_count=args.samples,
-        seed=seed,
-        top_k=args.top_k,
-        objective=args.objective,
-    )
     save_search_result(random_search(videos, cfg, jobs=jobs), args.out)
 
 

@@ -15,9 +15,8 @@ from __future__ import annotations
 
 import json
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from itertools import repeat
-from operator import attrgetter, is_
 
 import numpy as np
 
@@ -26,7 +25,7 @@ from .errors import TrackmergeError
 from .jsonfile import SLOT
 from .merging import group_rows, merge_walk
 from .metrics import full_video_gt, summarize
-from .scoring import COMPONENTS, WeightVector
+from .scoring import WeightVector
 
 OBJECTIVES = ("jf_mean", "j_mean", "f_mean")
 
@@ -49,27 +48,57 @@ class SearchConfig:
             raise TrackmergeError(f"objective must be one of {OBJECTIVES}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class SearchResult:
-    """Candidates ranked by objective (non-increasing; ties keep sampling order)."""
+    """The candidates, their scores and their ranking by objective
+    (non-increasing; ties keep sampling order). The other views of the
+    outcome are built from these on demand."""
 
-    ranked: list  # list of (candidate_index, WeightVector, score)
-    best_weights: WeightVector
-    best_score: float
-    top_k_weights: list
-    trace: list = field(default_factory=list)  # evaluation order audit
+    weights: np.ndarray  # (candidates, 5) float64, candidate i's weights in row i
+    scores: list  # candidate i's score
+    order: list  # the candidate indices, best first
+    top_k: int
     states: int = 0  # merge states walked: one sub-score tensor each
     leaves: int = 0  # distinct whole-video merges: one summary each
+
+    @property
+    def ranked(self) -> list:
+        """(candidate_index, WeightVector, score) of each candidate, best first."""
+        rows = self.weights.tolist()
+        return [(i, WeightVector(*rows[i]), self.scores[i]) for i in self.order]
+
+    @property
+    def best_weights(self) -> WeightVector:
+        return WeightVector(*self.weights[self.order[0]].tolist())
+
+    @property
+    def best_score(self) -> float:
+        return self.scores[self.order[0]]
+
+    @property
+    def top_k_weights(self) -> list:
+        rows = self.weights.tolist()
+        return [WeightVector(*rows[i]) for i in self.order[: self.top_k]]
+
+    @property
+    def trace(self) -> list:
+        """{index, weights, score} of each candidate, in sampling order."""
+        return [
+            {"index": i, "weights": row, "score": s}
+            for i, (row, s) in enumerate(zip(self.weights.tolist(), self.scores))
+        ]
 
 
 def _candidates(cfg: SearchConfig) -> np.ndarray:
     """The (sample_count, 5) candidate weights. Row 0 is always the
     equal-weights vector; the rest are seeded uniform draws on the simplex,
     each five standard-exponential variates normalized by their sum, all
-    from one PCG64 stream of the configured seed in one call."""
+    from one PCG64 stream of the configured seed in one call. Read-only."""
     draws = np.random.default_rng(cfg.seed).standard_exponential((cfg.sample_count - 1, 5))
     draws /= draws.sum(axis=1, keepdims=True)
-    return np.vstack([WeightVector.equal().as_array(), draws])
+    weights = np.vstack([WeightVector.equal().as_array(), draws])
+    weights.flags.writeable = False
+    return weights
 
 
 @dataclass
@@ -134,16 +163,11 @@ def random_search(videos, cfg: SearchConfig, jobs: int = 1) -> SearchResult:
     # row-wise, as np.mean of each candidate's list of video scores
     scores = np.stack([wk.scores for wk in walks], axis=1).mean(axis=1).tolist()
 
-    rows = weights.tolist()
-    order = sorted(range(len(rows)), key=lambda i: (-scores[i], i))
-    ranked = [(i, WeightVector(*rows[i]), scores[i]) for i in order]
-    trace = [{"index": i, "weights": row, "score": scores[i]} for i, row in enumerate(rows)]
     return SearchResult(
-        ranked=ranked,
-        best_weights=ranked[0][1],
-        best_score=ranked[0][2],
-        top_k_weights=[w for _, w, _ in ranked[: cfg.top_k]],
-        trace=trace,
+        weights=weights,
+        scores=scores,
+        order=sorted(range(len(scores)), key=lambda i: (-scores[i], i)),
+        top_k=cfg.top_k,
         states=sum(wk.states for wk in walks),
         leaves=sum(wk.leaves for wk in walks),
     )
@@ -161,61 +185,23 @@ def result_to_dict(res: SearchResult) -> dict:
     }
 
 
-# a WeightVector's weights in as_array()'s order
-_weights = attrgetter(*COMPONENTS)
-
 # a ranked or trace entry of result_to_dict, laid out as an item of its list
 _CANDIDATE = jsonfile.template({"index": SLOT, "score": SLOT, "weights": [SLOT] * 5}, depth=2)
 
 
-def _candidate_texts(entries):
-    """The ranked or trace entries, (index, weights, score) each, laid out
-    by _CANDIDATE; None unless every entry has a list of five weights."""
-    if not all(type(w) is list and len(w) == 5 for _, w, _ in entries):
-        return None
-    texts = jsonfile.numbers([x for _, w, s in entries for x in (s, *w)])
-    return [
-        _CANDIDATE(jsonfile.number(i), *texts[6 * k : 6 * k + 6])
-        for k, (i, _, _) in enumerate(entries)
-    ]
-
-
-def _reused(ranked, trace, texts):
-    """The texts of the ranked entries, each that of the trace entry of its
-    candidate index; None unless each ranked entry holds its trace entry's
-    very number objects, as random_search's results do, so that equal
-    numbers with other texts (0.0 and -0.0, 0 and 0.0) never share one."""
-    at = {i: k for k, (i, _, _) in enumerate(trace)}
-    order = [at.get(i) for i, _, _ in ranked]
-    if len(at) != len(trace) or None in order:
-        return None
-    for (_, w, s), k in zip(ranked, order):
-        _, tw, ts = trace[k]
-        if s is not ts or not all(map(is_, w, tw)):
-            return None
-    return [texts[k] for k in order]
-
-
 def save_search_result(res: SearchResult, path):
-    """Write result_to_dict(res) as JSON, each candidate through a template.
-    A ranked candidate of random_search holds the numbers of its trace
-    entry, so its text is formatted once, for the trace, and reused."""
-    # each weight as as_array().tolist() gives it, without an array per
-    # candidate; float() of a float is that float itself
-    ranked = [(i, list(map(float, _weights(w))), s) for i, w, s in res.ranked]
-    trace, ranked_texts = res.trace, None
-    if all(t.keys() == {"index", "weights", "score"} for t in trace):
-        entries = [(t["index"], t["weights"], t["score"]) for t in trace]
-        texts = _candidate_texts(entries)
-        if texts is not None:
-            ranked_texts = _reused(ranked, entries, texts)
-            trace = jsonfile.array(texts, depth=1)
-    if ranked_texts is None:
-        ranked_texts = _candidate_texts(ranked)
+    """Write result_to_dict(res) as JSON. Each candidate's six numbers are
+    formatted once and laid out once, through _CANDIDATE; the trace lists
+    those texts in sampling order and the ranking in rank order."""
+    rows = res.weights.tolist()
+    texts = jsonfile.numbers([x for row, s in zip(rows, res.scores) for x in (s, *row)])
+    candidates = [_CANDIDATE(str(i), *texts[6 * i : 6 * i + 6]) for i in range(len(rows))]
+    best = res.order[0]
     jsonfile.write(path, {
-        **result_to_dict(replace(res, ranked=[], trace=[])),
-        "ranked": jsonfile.array(ranked_texts, depth=1),
-        "trace": trace,
+        "best": {"weights": rows[best], "score": res.scores[best]},
+        "ranked": jsonfile.array([candidates[i] for i in res.order], depth=1),
+        "top_k": [rows[i] for i in res.order[: res.top_k]],
+        "trace": jsonfile.array(candidates, depth=1),
     })
 
 

@@ -51,9 +51,24 @@ class TestParsing:
             parse_components("obj,warpiness")
 
 
+# a flag out of its range, and the flag the usage error names
+FLAG_RANGES = [
+    ("search", ["--samples", "0"], "--samples"),
+    ("search", ["--samples", "3"], "--top-k"),  # below the default --top-k of 11
+    ("search", ["--samples", "3", "--top-k", "4"], "--top-k"),
+    ("search", ["--top-k", "0"], "--top-k"),
+    ("search", ["--score-min", "1.5"], "--score-min"),
+    ("search", ["--nms-iou", "nan"], "--nms-iou"),
+    ("filter", ["--score-min", "-0.1"], "--score-min"),
+    ("filter", ["--nms-iou", "2"], "--nms-iou"),
+    ("eval", ["--tolerance", "-1"], "--tolerance"),
+    ("eval", ["--tolerance", "nan"], "--tolerance"),
+]
+
+
 class TestCounts:
-    """--frames, --jobs and TRACKMERGE_JOBS out of range are usage errors:
-    exit 2, one JSON line on stderr, nothing written."""
+    """--frames, --jobs, TRACKMERGE_JOBS and the other flags' ranges are
+    usage errors: exit 2, one JSON line on stderr, nothing written."""
 
     def usage_message(self, capsys, *argv):
         assert run(*argv) == 2
@@ -96,6 +111,22 @@ class TestCounts:
             assert "TRACKMERGE_JOBS" in self.usage_message(capsys, *argv)
         assert not out.exists()
 
+    @pytest.mark.parametrize("present", [True, False], ids=["inputs", "no-inputs"])
+    @pytest.mark.parametrize("command, flags, flag", FLAG_RANGES,
+                             ids=[" ".join([c, *f]) for c, f, _ in FLAG_RANGES])
+    def test_flag_out_of_range(self, tmp_path, capsys, present, command, flags, flag):
+        """Flag ranges are checked before any input is read, so a missing
+        input is not reported in their place."""
+        data, out = tmp_path / "data", tmp_path / "out"
+        if present:
+            run("synth", "--out", str(data), "--preset", "single", "--seed", "0")
+        inputs = {
+            "search": ["--data", str(data)],
+            "filter": ["--manifest", str(data / "manifest.json")],
+            "eval": ["--pred", str(data / "gt"), "--gt", str(data / "gt")],
+        }[command]
+        assert flag in self.usage_message(capsys, command, *inputs, "--out", str(out), *flags)
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["synth", "search"])
     def test_negative_seed(self, tmp_path, capsys, command):

@@ -11,6 +11,7 @@ from trackmerge.manifest import filter_manifest
 from trackmerge.scoring import WeightVector
 from trackmerge.search import (
     SearchConfig,
+    SearchResult,
     random_search,
     result_to_dict,
 )
@@ -107,6 +108,57 @@ class TestSearch:
         )
         assert res.best_score >= 0.99
         assert res.best_weights.reid > 0.2  # above the uniform simplex mean
+
+
+def hand_built():
+    """Tied scores, 0.0 against -0.0, and a ranking given as it is."""
+    weights = np.array([(0.2,) * 5, (1.0, -0.0, 0.0, 0.0, 0.0), (0.0, 0.5, 0.5, -0.0, 0.0),
+                        (-0.0, 0.0, 0.0, 0.0, 1.0)])
+    weights.flags.writeable = False
+    return SearchResult(weights, [0.5, 1.0, 0.5, -0.0], [1, 0, 2, 3], top_k=2, states=4, leaves=3)
+
+
+def real_search():
+    return random_search(small_corpus(), SearchConfig(sample_count=10, seed=5, top_k=3))
+
+
+@pytest.mark.parametrize("make", [real_search, hand_built])
+class TestViews:
+    """ranked, best_*, top_k_weights and trace are built from the weights,
+    the scores and the order alone."""
+
+    def test_ranked_is_the_order_applied_to_weights_and_scores(self, make):
+        res = make()
+        got = [(i, w.as_array().tobytes(), repr(s)) for i, w, s in res.ranked]
+        assert got == [(i, res.weights[i].tobytes(), repr(res.scores[i])) for i in res.order]
+        assert sorted(res.order) == list(range(len(res.scores)))
+
+    def test_best_is_ranked_first(self, make):
+        res = make()
+        (_, w, s), *_ = res.ranked
+        assert (res.best_weights, repr(res.best_score)) == (w, repr(s))
+
+    def test_top_k_weights_lead_the_ranking(self, make):
+        res = make()
+        assert res.top_k_weights == [w for _, w, _ in res.ranked[: res.top_k]]
+        assert len(res.top_k_weights) == res.top_k
+
+    def test_trace_is_in_sampling_order(self, make):
+        res = make()
+        assert [t["index"] for t in res.trace] == list(range(len(res.weights)))
+        assert [(np.array(t["weights"]).tobytes(), repr(t["score"])) for t in res.trace] == [
+            (row.tobytes(), repr(s)) for row, s in zip(res.weights, res.scores)
+        ]
+
+    def test_weights_are_read_only(self, make):
+        res = make()
+        with pytest.raises(ValueError, match="read-only"):
+            res.weights[0, 0] = 0.5
+
+
+def test_a_real_ranking_is_by_score_then_sampling_order():
+    res = real_search()
+    assert res.order == sorted(range(10), key=lambda i: (-res.scores[i], i))
 
 
 def reid_decisive_instance():
